@@ -383,9 +383,9 @@ def phase_mixed_fleet(args, build) -> dict:
     )
     fleet = HeterogeneousFleet(deployment)
     for index in range(args.hetero_per_family):
-        fleet.add_tdx_backend(f"10.1.0.{10 + index}")
-        fleet.add_cca_backend(f"10.1.0.{40 + index}")
-        fleet.add_vtpm_backend(f"10.1.0.{70 + index}")
+        fleet.add_backend(f"10.1.0.{10 + index}", "tdx")
+        fleet.add_backend(f"10.1.0.{40 + index}", "arm-cca")
+        fleet.add_backend(f"10.1.0.{70 + index}", "e-vtpm")
     verdicts = fleet.attach_gateway(gateway)
     assert all(v.ok for v in verdicts), [
         (v.ip_address, v.reason) for v in verdicts if not v.ok

@@ -9,7 +9,11 @@ implicit:
   fleet VM with the new build, updates the SP's golden set, revokes the
   old measurement, and re-provisions certificates.  Old-image VMs can
   no longer join the fleet, and verifiers consulting a registry stop
-  accepting them.
+  accepting them.  Under load the fleet layer instead replaces one node
+  at a time with :func:`rejoin_node` — :func:`replace_node` plus the
+  SP's per-node ``admit_node`` — from both
+  :func:`repro.fleet.drain.rolling_rollout` (one gateway) and
+  :class:`repro.fleet.provision.FleetProvisioner` (a gateway mesh).
 
 * **Certificate renewal** (section 6.3.2): "this happens typically once
   every 90 days when the SSL certificate needs to be renewed and
@@ -67,8 +71,8 @@ def replace_node(
     swaps ``deployment.nodes[index]`` in place.  Returns the retired
     disk (sealed state the new image cannot open).  The new node is
     *not* provisioned — callers follow up with fleet-wide
-    ``provision_certificates`` (cold rollout) or per-node
-    ``ServiceProviderNode.admit_node`` (rolling rollout under load).
+    ``provision_certificates`` (cold rollout) or use
+    :func:`rejoin_node` (rolling rollout under load).
     """
     deployed = deployment.nodes[index]
     old_vm = deployed.vm
@@ -99,6 +103,43 @@ def replace_node(
     return retired_disk
 
 
+def rejoin_node(
+    deployment: RevelioDeployment,
+    index: int,
+    new_build: BuildResult,
+    app_factory: AppFactory = default_app,
+    node_registry=None,
+) -> DeployedNode:
+    """Replace one node of a *serving* fleet and admit the replacement.
+
+    The newcomer pulls the existing TLS private key from a
+    still-serving peer over the mutually attested bootstrap channel
+    (``ServiceProviderNode.admit_node``), so end-users' pinned keys
+    never change.  Returns the new :class:`DeployedNode`."""
+    ip_address = deployment.nodes[index].host.ip_address
+    # Every provisioned node holds the shared TLS key, so any other
+    # serving one can hand it over.
+    key_holder = next(
+        (
+            deployed.host.ip_address
+            for deployed in deployment.nodes
+            if deployed.host.ip_address != ip_address
+            and deployed.node.serving
+            and deployed.vm.state == "running"
+        ),
+        None,
+    )
+    if key_holder is None:
+        raise RolloutError("no serving node left to hand over the TLS key")
+    replace_node(
+        deployment, index, new_build, app_factory, node_registry=node_registry
+    )
+    deployment.sp.admit_node(
+        ip_address, key_holder, deployment.provisioning.certificate_chain
+    )
+    return deployment.nodes[index]
+
+
 def update_golden_set(
     deployment: RevelioDeployment,
     old_measurement: bytes,
@@ -124,9 +165,8 @@ def roll_out_image(
     The deployment object is updated in place: ``deployment.build``,
     the per-node VMs/apps, the SP's golden set, and DNS all reflect the
     new image afterwards.  This is the *cold* rollout (no traffic in
-    flight); :func:`repro.fleet.drain.rolling_rollout` wraps
-    :func:`replace_node` + ``admit_node`` to do the same thing
-    zero-downtime under load.
+    flight); :func:`repro.fleet.drain.rolling_rollout` does the same
+    thing zero-downtime under load, one :func:`rejoin_node` at a time.
     """
     if deployment.sp is None or not deployment.nodes:
         raise RolloutError("deployment has no provisioned fleet to roll out")

@@ -30,17 +30,14 @@ from repro.fleet.gateway import (
     GatewayError,
 )
 from repro.fleet.health import HealthMonitor
-from repro.fleet.hetero import HeteroBackend, HeterogeneousFleet
+from repro.fleet.hetero import Backend, HeterogeneousFleet
 from repro.fleet.mesh import (
     GOSSIP_REJECT_REASONS,
     ConsistentHashRing,
     GatewayMesh,
     GossipedVerdict,
-    LiteBackend,
     LiteFleet,
-    MeshRolloutReport,
     MeshWorkload,
-    region_rollout,
 )
 from repro.fleet.provision import FleetProvisioner, ProvisionReport
 from repro.fleet.workload import FleetWorkload, UserPool
@@ -49,6 +46,7 @@ __all__ = [
     "GATEWAY_REASON_CODES",
     "GOSSIP_REJECT_REASONS",
     "AdmissionVerdict",
+    "Backend",
     "BackendState",
     "ConsistentHashRing",
     "FaultHandle",
@@ -59,12 +57,9 @@ __all__ = [
     "GatewayMesh",
     "GossipedVerdict",
     "HealthMonitor",
-    "HeteroBackend",
     "HeterogeneousFleet",
     "KdsBlackhole",
-    "LiteBackend",
     "LiteFleet",
-    "MeshRolloutReport",
     "MeshWorkload",
     "ProvisionReport",
     "RollingRolloutReport",
@@ -75,7 +70,6 @@ __all__ = [
     "kill_backend",
     "raise_family_tcb_floor",
     "raise_tcb_floor",
-    "region_rollout",
     "revoke_family",
     "rolling_rollout",
     "slow_disk",

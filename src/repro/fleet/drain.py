@@ -7,15 +7,19 @@ gaps), then *retire* it — remaining idle sessions are severed and their
 clients transparently re-handshake onto a healthy peer, losing zero
 requests because every fleet node serves the same attested TLS key.
 
-:func:`rolling_rollout` turns :func:`repro.core.rollout.roll_out_image`
-into a traffic-safe procedure: one node at a time is drained, replaced
-with the new image on the same address (``replace_node``), admitted
-back into the fleet by the SP (``admit_node`` — the newcomer pulls the
-*existing* TLS private key from a still-serving peer over the mutually
-attested bootstrap channel, so end-users' pinned keys never change),
-and re-attested by the gateway against the widened golden set before it
-takes traffic again.  Only after every node runs the new image is the
-old measurement revoked fleet-wide.
+Every rollout — :func:`rolling_rollout` behind one gateway, and
+:class:`~repro.fleet.provision.FleetProvisioner` across a gateway mesh
+— is the same three steps:
+
+1. :func:`begin_rollout` widens trust to the new measurement (nodes,
+   SP, and gateways endorse both images while the fleet is mixed);
+2. one backend at a time is drained (:func:`drain_backend`), replaced
+   (deployment nodes via :func:`repro.core.rollout.rejoin_node`, which
+   admits the newcomer through the SP so it pulls the *existing* TLS
+   key from a still-serving peer), and re-attested by the gateway
+   before it takes traffic again;
+3. :func:`finish_rollout` revokes the old measurement fleet-wide, and
+   keeps every other golden.
 
 Prerequisite (documented in PROTOCOLS.md): during the transition both
 measurements must be endorsed — old nodes attest new peers during key
@@ -29,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..attest import TeeFamily
 from ..core.deployment import AppFactory, default_app
-from ..core.rollout import RolloutError, replace_node, update_golden_set
+from ..core.rollout import RolloutError, rejoin_node, update_golden_set
 from ..core.trusted_registry import StaticRegistry
 from ..sim.kernel import sleep
 from .gateway import FleetGateway
@@ -52,40 +57,100 @@ class RollingRolloutReport:
 
 
 def drain_backend(
-    gateway: FleetGateway,
+    gateways: List[FleetGateway],
     ip_address: str,
     poll_interval: float = 0.05,
     deadline: float = 60.0,
 ):
-    """Kernel process: drain one backend, then retire it.
+    """Kernel process: drain one backend on every gateway in
+    *gateways* (they share its service station), then retire it there.
 
     Returns the number of poll rounds waited.
     """
-    backend = gateway.backends[ip_address]
-    gateway.mark_draining(ip_address)
-    started = gateway.network.clock.now
+    server = gateways[0].backends[ip_address].server
+    for gateway in gateways:
+        gateway.mark_draining(ip_address)
+    clock = gateways[0].network.clock
+    started = clock.now
     rounds = 0
-    while backend.server is not None and backend.server.outstanding > 0:
-        if gateway.network.clock.now - started >= deadline:
+    while server is not None and server.outstanding > 0:
+        if clock.now - started >= deadline:
             break
         rounds += 1
         yield sleep(poll_interval)
-    gateway.retire(ip_address)
+    for gateway in gateways:
+        gateway.retire(ip_address)
     return rounds
 
 
-def _key_holder_ip(deployment, exclude_ip: str) -> str:
-    """Any still-serving node other than *exclude_ip* — every
-    provisioned node holds the shared TLS private key, so any of them
-    can answer a newcomer's key request."""
+def check_rollout(deployment, new_build) -> None:
+    """Refuse a rollout with nothing to do: an unprovisioned fleet, or
+    a *new_build* with the deployment's own measurement."""
+    if deployment.sp is None or deployment.provisioning is None:
+        raise RolloutError("fleet not provisioned; nothing to roll out")
+    if bytes(deployment.build.expected_measurement) == bytes(
+        new_build.expected_measurement
+    ):
+        raise RolloutError("new image has the identical measurement; nothing to do")
+
+
+def begin_rollout(deployment, gateways: List[FleetGateway], new_build,
+                  node_registry=None):
+    """Widen trust to *new_build*'s measurement before any node moves.
+
+    After :func:`check_rollout`, every node gets a registry endorsing
+    both images (*node_registry*, or a static one), the SP accepts the
+    new measurement, and every gateway adds it to its goldens.  Returns
+    the node registry."""
+    check_rollout(deployment, new_build)
+    old_measurement = bytes(deployment.build.expected_measurement)
+    new_measurement = bytes(new_build.expected_measurement)
+    registry = node_registry
+    if registry is None:
+        registry = StaticRegistry(
+            golden={deployment.domain: [old_measurement, new_measurement]}
+        )
     for deployed in deployment.nodes:
-        if (
-            deployed.host.ip_address != exclude_ip
-            and deployed.node.serving
-            and deployed.vm.state == "running"
-        ):
-            return deployed.host.ip_address
-    raise RolloutError("no serving node left to hand over the TLS key")
+        deployed.node.trusted_registry = registry
+    if new_measurement not in deployment.sp.expected_measurements:
+        deployment.sp.expected_measurements.append(new_measurement)
+    for gateway in gateways:
+        gateway.golden_measurements = sorted(
+            {*gateway.golden_measurements, new_measurement}
+        )
+    return registry
+
+
+def finish_rollout(deployment, gateways: List[FleetGateway], new_build,
+                   fleet=None):
+    """Revoke the old world once every node runs *new_build* (section
+    6.1.4 rollback prevention).
+
+    The deployment's old measurement is revoked at the SP and on every
+    gateway.  With a *fleet*, each of its goldens that no backend still
+    runs is retired; a retired SNP golden is revoked too.  Every other
+    golden stays."""
+    old_measurement = bytes(deployment.build.expected_measurement)
+    new_measurement = bytes(new_build.expected_measurement)
+    update_golden_set(deployment, old_measurement, new_measurement)
+    deployment.build = new_build
+    revoked = {old_measurement}
+    if fleet is not None:
+        live = {backend.measurement for backend in fleet.backends}
+        for family, goldens in sorted(fleet.goldens.items()):
+            for golden in goldens - live:
+                fleet.retire_measurement(family, golden)
+                if family == str(TeeFamily.SEV_SNP):
+                    revoked.add(golden)
+    for gateway in gateways:
+        gateway.golden_measurements = sorted(
+            (set(gateway.golden_measurements) - revoked) | {new_measurement}
+        )
+        gateway.revoked_measurements = sorted(
+            {*gateway.revoked_measurements, *revoked}
+        )
+        if fleet is not None:
+            fleet.sync_gateway(gateway)
 
 
 def rolling_rollout(
@@ -98,64 +163,28 @@ def rolling_rollout(
     drain_deadline: float = 60.0,
     concurrency: int = 4,
     report: Optional[RollingRolloutReport] = None,
-    families=None,
 ):
-    """Kernel process: replace the whole fleet under load, one node at
+    """Kernel process: replace every deployment node under load, one at
     a time, with zero failed end-user requests.  Pass *report* to
-    observe progress; it is also the generator's return value.
-
-    In a heterogeneous fleet an image rollout only concerns the nodes
-    that *run* that image: *families* restricts the rollout to backends
-    whose registered TEE family is in the set (``None`` = every
-    deployment node, the homogeneous-SNP behaviour)."""
-    if deployment.sp is None or deployment.provisioning is None:
-        raise RolloutError("fleet not provisioned; nothing to roll out")
-    old_measurement = bytes(deployment.build.expected_measurement)
-    new_measurement = bytes(new_build.expected_measurement)
-    if old_measurement == new_measurement:
-        raise RolloutError("new image has the identical measurement; nothing to do")
+    observe progress; it is also the generator's return value."""
     clock = gateway.network.clock
+    old_measurement = bytes(deployment.build.expected_measurement)
+    registry = begin_rollout(deployment, [gateway], new_build, node_registry)
     if report is None:
         report = RollingRolloutReport(
             old_measurement=old_measurement.hex(),
-            new_measurement=new_measurement.hex(),
+            new_measurement=bytes(new_build.expected_measurement).hex(),
         )
     report.started_at = clock.now
 
-    # Transition trust: both images endorsed on every node (key
-    # hand-over attests in both directions), at the SP, and at the
-    # gateway, until the last old node is gone.
-    registry = node_registry
-    if registry is None:
-        registry = StaticRegistry(
-            golden={deployment.domain: [old_measurement, new_measurement]}
-        )
-    for deployed in deployment.nodes:
-        deployed.node.trusted_registry = registry
-    if new_measurement not in deployment.sp.expected_measurements:
-        deployment.sp.expected_measurements.append(new_measurement)
-    gateway.golden_measurements = sorted({old_measurement, new_measurement})
-
-    allowed_families = (
-        None if families is None else {str(family) for family in families}
-    )
     for index in range(len(deployment.nodes)):
         ip_address = deployment.nodes[index].host.ip_address
-        if allowed_families is not None:
-            backend = gateway.backends.get(ip_address)
-            if backend is None or backend.family not in allowed_families:
-                continue
         node_started = clock.now
         rounds = yield from drain_backend(
-            gateway, ip_address, poll_interval=drain_poll, deadline=drain_deadline
+            [gateway], ip_address, poll_interval=drain_poll,
+            deadline=drain_deadline,
         )
-        key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
-        replace_node(
-            deployment, index, new_build, app_factory, node_registry=registry
-        )
-        deployment.sp.admit_node(
-            ip_address, key_holder, deployment.provisioning.certificate_chain
-        )
+        rejoin_node(deployment, index, new_build, app_factory, registry)
         gateway.add_backend(ip_address, concurrency=concurrency)
         verdict = gateway.attest_and_admit(ip_address)
         if not verdict.ok:
@@ -171,13 +200,6 @@ def rolling_rollout(
             }
         )
 
-    # Finalise: the fleet is homogeneous on the new image — revoke the
-    # old measurement everywhere (section 6.1.4 rollback prevention).
-    update_golden_set(deployment, old_measurement, new_measurement)
-    deployment.build = new_build
-    gateway.golden_measurements = [new_measurement]
-    gateway.revoked_measurements = sorted(
-        {*gateway.revoked_measurements, old_measurement}
-    )
+    finish_rollout(deployment, [gateway], new_build)
     report.finished_at = clock.now
     return report

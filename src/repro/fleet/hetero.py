@@ -1,10 +1,10 @@
-"""Heterogeneous-TEE fleet wiring.
+"""Mixed-family fleet backends: one record, one launcher, one server.
 
 The paper claims TEE portability ("Revelio can be deployed in a
 hardware-agnostic fashion, as long as the TEE follows the VM model");
 this module makes the fleet layer prove it.  A
-:class:`HeterogeneousFleet` stands up TDX, CCA, and SNP-endorsed
-e-vTPM backends *next to* an existing SNP deployment:
+:class:`HeterogeneousFleet` stands up SEV-SNP, TDX, CCA, and
+SNP-endorsed e-vTPM backends *next to* an existing SNP deployment:
 
 * every backend serves the deployment's **shared attested TLS
   identity** (same certificate chain, same private key), so end-users'
@@ -13,11 +13,13 @@ e-vTPM backends *next to* an existing SNP deployment:
   :class:`~repro.attest.Evidence` envelope whose challenge /
   REPORT_DATA binds the shared TLS key — the same binding the SNP
   nodes prove;
-* :meth:`HeterogeneousFleet.attach_gateway` hands the gateway the
-  per-family trust contexts (Intel PCS, ARM anchors, the e-vTPM KDS
-  client) and :class:`~repro.attest.FamilyPolicy` golden overlays,
-  registers each backend under its family, and admits it through the
-  family-dispatched pipeline.
+* one family → launcher table starts each family's TEE workload, both
+  for :meth:`HeterogeneousFleet.add_backend` and for
+  :meth:`HeterogeneousFleet.relaunch` (a signed update's new image);
+* the fleet keeps one golden map (family → measurements), and
+  :meth:`HeterogeneousFleet.sync_gateway` pushes it to a gateway with
+  the per-family trust contexts (Intel PCS, ARM anchors, the e-vTPM KDS
+  client).
 """
 
 from __future__ import annotations
@@ -46,29 +48,88 @@ from ..vtpm.monitoring import MonitoringEvidence
 from ..vtpm.vtpm import PCR_SERVICES, Vtpm
 from .gateway import FleetGateway
 
+_SNP = str(TeeFamily.SEV_SNP)
+
 
 @dataclass
-class HeteroBackend:
-    """One non-SNP fleet member: its host, server, and golden value."""
+class Backend:
+    """One fleet member serving real evidence for its TEE family."""
 
     ip_address: str
     family: str
+    region: Optional[str]
     host: object
-    server: HttpServer
+    #: The evidence server (``None`` for an adopted deployment node,
+    #: which serves its own).
+    server: Optional[HttpServer]
     measurement: bytes
+    #: Lite-protocol counters (see :class:`~repro.fleet.mesh.LiteFleet`).
+    sessions_opened: int = 0
+    records_served: int = 0
+
+
+def _launch_snp(fleet, ip_address, serial, state):
+    guest = fleet.deployment.amd.provision_chip(serial).launch_vm(
+        state, GuestPolicy()
+    )
+    return guest.get_report(fleet.binding).encode(), guest.measurement
+
+
+def _launch_tdx(fleet, ip_address, serial, state):
+    td = fleet.intel.provision_platform(serial).launch_td(state)
+    return td.get_quote(fleet.binding).encode(), td.mrtd
+
+
+def _launch_cca(fleet, ip_address, serial, state):
+    platform = fleet.arm.provision_platform(serial)
+    fleet._cpaks[platform.platform_id] = fleet.arm.cpak_certificate(platform)
+    realm = platform.launch_realm(state)
+    return realm.attest(fleet.binding).encode(), realm.rim
+
+
+def _launch_vtpm(fleet, ip_address, serial, state):
+    """An SNP guest with an attached vTPM whose AK the AMD-SP endorses:
+    (quote over the TLS binding, event log, AK, endorsement)."""
+    guest = fleet.deployment.amd.provision_chip(serial).launch_vm(
+        state, GuestPolicy()
+    )
+    vtpm = Vtpm(fleet._rng.fork(b"vtpm:" + ip_address.encode()))
+    endorsement = guest.get_report(
+        report_data_for(hashlib.sha256(vtpm.ak_public.encode()).digest())
+    )
+    evidence = MonitoringEvidence(
+        quote=vtpm.quote(fleet.binding, [PCR_SERVICES]),
+        event_log=list(vtpm.event_log),
+        ak_public=vtpm.ak_public,
+        ak_endorsement=endorsement,
+    )
+    return evidence.encode(), guest.measurement
+
+
+#: family -> (chip/platform serial tag, initial-state tag, launcher).
+#: A launcher starts one workload on a fresh chip or platform and returns
+#: (evidence body bound to the shared TLS key, launch measurement).
+_LAUNCHERS = {
+    _SNP: ("snp", b"snp", _launch_snp),
+    str(TeeFamily.TDX): ("tdx", b"td", _launch_tdx),
+    str(TeeFamily.CCA): ("cca", b"realm", _launch_cca),
+    str(TeeFamily.VTPM): ("vtpm", b"vtpm-vm", _launch_vtpm),
+}
 
 
 class HeterogeneousFleet:
-    """TDX / CCA / e-vTPM backends joined to an SNP deployment's fleet.
+    """Mixed-family backends joined to an SNP deployment's fleet.
 
     Requires a deployed :class:`~repro.core.deployment.RevelioDeployment`
     (the shared TLS identity must already be provisioned)."""
 
-    def __init__(self, deployment, rng=None):
+    #: Names the fleet's DRBG fork, chip/platform serials, host names,
+    #: and the initial state every workload launches from.
+    label = "hetero"
+
+    def __init__(self, deployment):
         self.deployment = deployment
-        self._rng = (
-            rng if rng is not None else deployment.rng.fork(b"hetero-fleet")
-        )
+        self._rng = deployment.rng.fork(self.label.encode() + b"-fleet")
         #: Intel's side of the TDX world (PCK hierarchy + PCS).
         self.intel = IntelInfrastructure(self._rng.fork(b"intel"))
         self.pcs = ProvisioningCertificationService(self.intel)
@@ -85,106 +146,110 @@ class HeterogeneousFleet:
             raise RuntimeError(
                 "deployment has no provisioned TLS identity to share"
             )
-        self._chain = list(leader.node.certificate_chain)
-        self._tls_key = PrivateKey("ecdsa", leader.node.tls_private_key)
+        #: The shared TLS identity every backend serves.
+        self.chain = list(leader.node.certificate_chain)
+        self.tls_key = PrivateKey("ecdsa", leader.node.tls_private_key)
         #: The REPORT_DATA / challenge every backend's evidence binds:
         #: the shared TLS key's fingerprint, exactly like the SNP nodes.
-        self.binding = report_data_for(self._tls_key.public_key().fingerprint())
+        self.binding = report_data_for(self.tls_key.public_key().fingerprint())
 
-        self.backends: List[HeteroBackend] = []
-        self._goldens: Dict[str, Set[bytes]] = {}
+        self.backends: List[Backend] = []
+        #: family -> golden measurements (launched, not yet retired).
+        self.goldens: Dict[str, Set[bytes]] = {}
+        self._relaunches = 0
 
-    # -- backend factories ------------------------------------------
-
-    def add_tdx_backend(self, ip_address: str,
-                        serial: Optional[str] = None) -> HeteroBackend:
-        """Launch a trust domain on a fresh Intel platform and serve its
-        quote (bound to the shared TLS key) at *ip_address*."""
-        platform = self.intel.provision_platform(
-            serial or f"hetero-tdx-{len(self.backends)}"
+    def _launch(self, family: str, ip_address: str,
+                token: Optional[bytes] = None):
+        """Start one *family* workload on a fresh chip or platform (a
+        distinct serial per launch).  Every workload of a family
+        launches from one initial state per fleet, suffixed ``b"@" +
+        token`` after an update, so the family has one golden value.
+        Returns (evidence body, measurement)."""
+        try:
+            serial_tag, state_tag, launch = _LAUNCHERS[family]
+        except KeyError:
+            raise ValueError(f"unknown TEE family {family!r}") from None
+        state = b"-".join(
+            (self.label.encode(), state_tag, self.deployment.domain.encode())
         )
-        td = platform.launch_td(self._initial_state(b"td"))
-        quote = td.get_quote(self.binding)
-        return self._serve(TeeFamily.TDX, ip_address, quote.encode(), td.mrtd)
+        if token is None:
+            serial = f"{self.label}-{serial_tag}-{len(self.backends)}"
+        else:
+            self._relaunches += 1
+            serial = f"{self.label}-update-{self._relaunches}"
+            state += b"@" + token
+        return launch(self, ip_address, serial, state)
 
-    def add_cca_backend(self, ip_address: str,
-                        serial: Optional[str] = None) -> HeteroBackend:
-        """Launch a realm on a fresh ARM platform and serve its
-        two-token bundle (challenged with the shared TLS key binding)."""
-        platform = self.arm.provision_platform(
-            serial or f"hetero-cca-{len(self.backends)}"
-        )
-        self._cpaks[platform.platform_id] = self.arm.cpak_certificate(platform)
-        realm = platform.launch_realm(self._initial_state(b"realm"))
-        token = realm.attest(self.binding)
-        return self._serve(TeeFamily.CCA, ip_address, token.encode(), realm.rim)
+    # -- backend lifecycle ------------------------------------------
 
-    def add_vtpm_backend(self, ip_address: str,
-                         serial: Optional[str] = None) -> HeteroBackend:
-        """Launch an SNP guest with an attached vTPM whose AK the
-        AMD-SP endorses; serve (quote over the TLS binding, event log,
-        AK, endorsement) as e-vTPM evidence."""
-        chip = self.deployment.amd.provision_chip(
-            serial or f"hetero-vtpm-{len(self.backends)}"
-        )
-        guest = chip.launch_vm(self._initial_state(b"vtpm-vm"), GuestPolicy())
-        vtpm = Vtpm(self._rng.fork(b"vtpm:" + ip_address.encode()))
-        endorsement = guest.get_report(
-            report_data_for(hashlib.sha256(vtpm.ak_public.encode()).digest())
-        )
-        evidence = MonitoringEvidence(
-            quote=vtpm.quote(self.binding, [PCR_SERVICES]),
-            event_log=list(vtpm.event_log),
-            ak_public=vtpm.ak_public,
-            ak_endorsement=endorsement,
-        )
-        return self._serve(
-            TeeFamily.VTPM, ip_address, evidence.encode(), guest.measurement
-        )
-
-    def _initial_state(self, kind: bytes) -> bytes:
-        """One deterministic initial state per (fleet, kind): every
-        backend of a family measures identically — one golden value."""
-        return b"hetero-" + kind + b"-" + self.deployment.domain.encode()
-
-    def _serve(self, family, ip_address: str, evidence_body: bytes,
-               measurement: bytes) -> HeteroBackend:
+    def add_backend(self, ip_address: str, family,
+                    region: Optional[str] = None) -> Backend:
+        """Launch one backend of *family* on a fresh chip or platform
+        and serve its evidence (and the shared TLS identity) at
+        *ip_address*."""
         family = str(family)
-        name = f"{family}-backend-{ip_address}"
-        host = self.deployment.network.add_host(name, ip_address)
+        body, measurement = self._launch(family, ip_address)
+        name = f"{self.label}-{family}-{ip_address}"
+        host = self.deployment.network.add_host(name, ip_address, region=region)
         server = HttpServer(name)
-        payload = Evidence(family, evidence_body).encode()
-        latency = self.deployment.latency
         server.add_route(
+            "GET",
+            "/",
+            lambda request, context: HttpResponse.ok(MINIMAL_PAGE),
+            processing_time=self.deployment.latency.page_processing,
+        )
+        server.serve_tls(
+            host,
+            self.chain,
+            self.tls_key,
+            self._rng.fork(b"tls:" + ip_address.encode()),
+        )
+        backend = Backend(
+            ip_address=ip_address,
+            family=family,
+            region=region,
+            host=host,
+            server=server,
+            measurement=bytes(measurement),
+        )
+        self._publish(backend, body)
+        self.backends.append(backend)
+        return backend
+
+    def relaunch(self, backend: Backend, token: bytes) -> bytes:
+        """Relaunch *backend*'s TEE workload at the post-update state.
+
+        *token* names the update (the provisioner passes the target
+        launch measurement of the new image), so every family converges
+        on one new golden value per update: ``initial_state + b"@" +
+        token``.  The well-known endpoint is re-served with the new
+        workload's evidence, the new measurement joins the family's
+        goldens, and the old one stays admissible until
+        :meth:`retire_measurement`.  Returns the new measurement."""
+        body, measurement = self._launch(
+            backend.family, backend.ip_address, token
+        )
+        backend.measurement = bytes(measurement)
+        self._publish(backend, body)
+        return backend.measurement
+
+    def _publish(self, backend: Backend, body: bytes) -> None:
+        """Serve *body* as the backend's evidence and make its
+        measurement golden."""
+        payload = Evidence(backend.family, body).encode()
+        backend.server.add_route(
             "GET",
             WELL_KNOWN_ATTESTATION_PATH,
             lambda request, context: HttpResponse.ok(
                 payload, "application/octet-stream"
             ),
-            processing_time=latency.report_endpoint_processing,
+            processing_time=self.deployment.latency.report_endpoint_processing,
         )
-        server.add_route(
-            "GET",
-            "/",
-            lambda request, context: HttpResponse.ok(MINIMAL_PAGE),
-            processing_time=latency.page_processing,
-        )
-        server.serve_tls(
-            host,
-            self._chain,
-            self._tls_key,
-            self._rng.fork(b"tls:" + ip_address.encode()),
-        )
-        backend = HeteroBackend(
-            ip_address=ip_address,
-            family=family,
-            host=host,
-            server=server,
-            measurement=bytes(measurement),
-        )
-        self.backends.append(backend)
-        self._goldens.setdefault(family, set()).add(bytes(measurement))
-        return backend
+        self.goldens.setdefault(backend.family, set()).add(backend.measurement)
+
+    def retire_measurement(self, family, measurement: bytes) -> None:
+        """Drop an old golden once no backend of *family* still runs it."""
+        self.goldens.get(str(family), set()).discard(bytes(measurement))
 
     # -- gateway wiring ---------------------------------------------
 
@@ -200,26 +265,37 @@ class HeterogeneousFleet:
         }
 
     def family_policies(self) -> Dict[str, FamilyPolicy]:
-        """Golden overlays for every family this fleet launched."""
+        """Golden overlays for every non-SNP family this fleet launched
+        (SNP goldens ride the gateway's global set; see
+        :meth:`sync_gateway`)."""
         return {
             family: FamilyPolicy(golden_measurements=sorted(goldens))
-            for family, goldens in sorted(self._goldens.items())
+            for family, goldens in sorted(self.goldens.items())
+            if family != _SNP
         }
 
-    def attach_gateway(self, gateway: FleetGateway,
-                       concurrency: int = 4) -> List:
-        """Teach *gateway* to verify this fleet's families, register
-        every backend under its family, and attest-and-admit each.
-        Returns the admission verdicts."""
+    def sync_gateway(self, gateway: FleetGateway) -> None:
+        """Teach *gateway* this fleet's trust: the per-family contexts,
+        the non-SNP golden overlays, and the SNP goldens merged into
+        its global set (next to the deployment build's, so a family
+        overlay never shadows the deployment's own nodes)."""
         gateway.verifier.contexts.update(self.contexts())
         gateway.family_policies.update(self.family_policies())
+        gateway.golden_measurements = sorted(
+            {*gateway.golden_measurements, *self.goldens.get(_SNP, ())}
+        )
+
+    def attach_gateway(self, gateway: FleetGateway) -> List:
+        """Sync *gateway*, register every backend under its family, and
+        attest-and-admit each.  Returns the admission verdicts."""
+        self.sync_gateway(gateway)
         verdicts = []
         for backend in self.backends:
             if backend.ip_address not in gateway.backends:
                 gateway.add_backend(
                     backend.ip_address,
-                    concurrency=concurrency,
                     family=backend.family,
+                    region=backend.region,
                 )
             verdicts.append(gateway.attest_and_admit(backend.ip_address))
         return verdicts

@@ -15,7 +15,8 @@ verification work is shared across deployments, made concrete.
 
 Scale pieces for the million-session storm:
 
-* :class:`LiteFleet` — ~100 synthetic mixed-family backends that serve
+* :class:`LiteFleet` — ~100 mixed-family
+  :class:`~repro.fleet.hetero.HeterogeneousFleet` backends that serve
   the deployment's real shared TLS identity and real per-family
   evidence at the well-known URL (attestation probes are the genuine
   article) but answer storm traffic through a cheap *lite* session
@@ -26,41 +27,33 @@ Scale pieces for the million-session storm:
   O(pool) memory instead of O(sessions): a countdown plus one
   completion event replaces the per-process handle list, and sessions
   close their gateway affinity when they end.
-* :func:`region_rollout` — the PR-4 rolling rollout lifted to the
-  mesh: regions drain **hierarchically** (region by region, node by
-  node inside each), every gateway stops routing to the node being
-  replaced, and the home gateway's re-attestation of the replacement
-  is gossiped to the rest of the mesh.
+* :meth:`GatewayMesh.replace_backend` — one rollout step over the
+  mesh: the backend is drained on **every** gateway, relaunched,
+  registered on a fresh service station, re-attested by its home
+  gateway, and the verdict is gossiped to the rest of the mesh.
+  :class:`~repro.fleet.provision.FleetProvisioner` drives it region by
+  region, node by node.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..amd.policy import GuestPolicy
-from ..attest import Evidence, FamilyPolicy, TeeFamily
-from ..core.deployment import MINIMAL_PAGE, AppFactory, default_app
-from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
-from ..core.key_sharing import report_data_for
-from ..core.rollout import RolloutError, replace_node, update_golden_set
-from ..core.trusted_registry import StaticRegistry
+from ..attest import TeeFamily
 from ..crypto import encoding
-from ..crypto.keys import PrivateKey
-from ..net.http import HTTPS_PORT, HttpResponse, HttpServer
+from ..net.http import HTTPS_PORT
 from ..net.simnet import Network
 from ..sim.kernel import EventKernel, Interrupt, sleep, spawn, wait
 from ..sim.metrics import MetricsRegistry
 from ..sim.resources import Server
 from ..sim.rng import SimRng
-from ..vtpm.monitoring import MonitoringEvidence
-from ..vtpm.vtpm import PCR_SERVICES, Vtpm
-from .drain import _key_holder_ip
+from .drain import drain_backend
 from .gateway import FleetGateway
 from .health import HealthMonitor
-from .hetero import HeterogeneousFleet
+from .hetero import Backend, HeterogeneousFleet
 
 
 def _hash_point(key: bytes) -> int:
@@ -143,85 +136,29 @@ class GossipedVerdict:
     verdict_time: float
 
 
-@dataclass
-class LiteBackend:
-    """One synthetic storm backend: real evidence, lite sessions."""
-
-    ip_address: str
-    family: str
-    region: Optional[str]
-    host: object
-    measurement: bytes
-    sessions_opened: int = 0
-    records_served: int = 0
+#: Simulated seconds a backend spends answering one lite envelope.
+LITE_PROCESSING_TIME = 0.002
 
 
-class LiteFleet:
+class LiteFleet(HeterogeneousFleet):
     """Mixed-family storm backends sharing the deployment's identity.
 
-    Every backend launches a real TEE workload for its family (an SNP
-    guest, a trust domain, a realm, or an SNP-endorsed vTPM), serves the
-    deployment's shared certificate chain + TLS key, and answers the
-    well-known URL with that workload's evidence bound to the shared
-    key — so gateway attestation probes are indistinguishable from the
-    full fleet's.  Storm traffic uses the lite envelope protocol
-    (``{"lite": True, "type": "client_hello" | "record", ...}``)
-    dispatched *before* TLS on the same port, keeping per-request cost
-    flat enough for a million-session run."""
+    A :class:`~repro.fleet.hetero.HeterogeneousFleet` whose backends
+    also speak the lite envelope protocol (``{"lite": True, "type":
+    "client_hello" | "record", ...}``), dispatched *before* TLS on the
+    same port.  Gateway attestation probes still fetch each workload's
+    real evidence, indistinguishable from the full fleet's, while
+    per-request cost stays flat enough for a million-session run."""
 
-    def __init__(self, deployment, rng=None, processing_time: float = 0.002):
-        self.deployment = deployment
-        self._rng = (
-            rng if rng is not None else deployment.rng.fork(b"lite-fleet")
-        )
-        self.processing_time = processing_time
-        # Reuse the heterogeneous fleet's per-family infrastructure
-        # (Intel PCS, ARM anchors, KDS client) and shared TLS identity.
-        self._hetero = HeterogeneousFleet(deployment, rng=self._rng.fork(b"hetero"))
-        self.binding = self._hetero.binding
-        self._chain = self._hetero._chain
-        self._tls_key: PrivateKey = self._hetero._tls_key
-        self.backends: List[LiteBackend] = []
-        self._servers: Dict[str, HttpServer] = {}
-        self._snp_goldens: set = set()
-        self._family_goldens: Dict[str, set] = {}
-        self._update_serial = 0
-
-    # -- backend factories ------------------------------------------
+    label = "lite"
 
     def add_backend(self, ip_address: str, family,
-                    region: Optional[str] = None) -> LiteBackend:
-        """Launch one backend of *family* at *ip_address*."""
-        family = str(family)
-        index = len(self.backends)
-        if family == str(TeeFamily.SEV_SNP):
-            chip = self.deployment.amd.provision_chip(f"lite-snp-{index}")
-            guest = chip.launch_vm(self._initial_state(b"snp"), GuestPolicy())
-            report = guest.get_report(self.binding)
-            body, measurement = report.encode(), guest.measurement
-        elif family == str(TeeFamily.TDX):
-            platform = self._hetero.intel.provision_platform(f"lite-tdx-{index}")
-            td = platform.launch_td(self._initial_state(b"td"))
-            body, measurement = td.get_quote(self.binding).encode(), td.mrtd
-        elif family == str(TeeFamily.CCA):
-            platform = self._hetero.arm.provision_platform(f"lite-cca-{index}")
-            self._hetero._cpaks[platform.platform_id] = (
-                self._hetero.arm.cpak_certificate(platform)
-            )
-            realm = platform.launch_realm(self._initial_state(b"realm"))
-            body, measurement = realm.attest(self.binding).encode(), realm.rim
-        elif family == str(TeeFamily.VTPM):
-            hetero_backend = self._hetero.add_vtpm_backend(ip_address)
-            return self._adopt(hetero_backend, region)
-        else:
-            raise ValueError(f"unknown TEE family {family!r}")
-        return self._serve(family, ip_address, body, measurement, region)
+                    region: Optional[str] = None) -> Backend:
+        backend = super().add_backend(ip_address, family, region)
+        self._wrap_lite(backend)
+        return backend
 
-    def _initial_state(self, kind: bytes) -> bytes:
-        # One golden value per (fleet, family), like the hetero fleet.
-        return b"lite-" + kind + b"-" + self.deployment.domain.encode()
-
-    def adopt_deployment_nodes(self) -> List[LiteBackend]:
+    def adopt_deployment_nodes(self) -> List[Backend]:
         """Teach the deployment's real SNP nodes the lite protocol too
         (their TLS serving and attestation endpoint stay untouched), so
         a storm can span the whole mixed fleet."""
@@ -229,88 +166,24 @@ class LiteFleet:
             self.adopt_node(deployed) for deployed in self.deployment.nodes
         ]
 
-    def adopt_node(self, deployed) -> LiteBackend:
+    def adopt_node(self, deployed) -> Backend:
         """Wrap one deployed SNP node's current TLS handler with the
         lite dispatcher (used again after a rollout replaces it)."""
         host = deployed.host
-        backend = LiteBackend(
+        backend = Backend(
             ip_address=host.ip_address,
             family=str(TeeFamily.SEV_SNP),
             region=host.region,
             host=host,
+            server=None,
             measurement=bytes(self.deployment.build.expected_measurement),
         )
         self._wrap_lite(backend)
         return backend
 
-    def _adopt(self, hetero_backend, region: Optional[str]) -> LiteBackend:
-        """Wrap a backend the hetero fleet already serves (vTPM path)
-        with the lite dispatcher and track it here."""
-        hetero_backend.host.region = region
-        backend = LiteBackend(
-            ip_address=hetero_backend.ip_address,
-            family=hetero_backend.family,
-            region=region,
-            host=hetero_backend.host,
-            measurement=hetero_backend.measurement,
-        )
-        self._servers[backend.ip_address] = hetero_backend.server
-        self._family_goldens.setdefault(backend.family, set()).add(
-            bytes(backend.measurement)
-        )
-        self._wrap_lite(backend)
-        self.backends.append(backend)
-        return backend
-
-    def _serve(self, family: str, ip_address: str, evidence_body: bytes,
-               measurement: bytes, region: Optional[str]) -> LiteBackend:
-        name = f"lite-{family}-{ip_address}"
-        host = self.deployment.network.add_host(name, ip_address, region=region)
-        server = HttpServer(name)
-        payload = Evidence(family, evidence_body).encode()
-        latency = self.deployment.latency
-        server.add_route(
-            "GET",
-            WELL_KNOWN_ATTESTATION_PATH,
-            lambda request, context: HttpResponse.ok(
-                payload, "application/octet-stream"
-            ),
-            processing_time=latency.report_endpoint_processing,
-        )
-        server.add_route(
-            "GET",
-            "/",
-            lambda request, context: HttpResponse.ok(MINIMAL_PAGE),
-            processing_time=latency.page_processing,
-        )
-        server.serve_tls(
-            host,
-            self._chain,
-            self._tls_key,
-            self._rng.fork(b"tls:" + ip_address.encode()),
-        )
-        backend = LiteBackend(
-            ip_address=ip_address,
-            family=family,
-            region=region,
-            host=host,
-            measurement=bytes(measurement),
-        )
-        self._servers[ip_address] = server
-        if family == str(TeeFamily.SEV_SNP):
-            self._snp_goldens.add(bytes(measurement))
-        else:
-            self._family_goldens.setdefault(family, set()).add(
-                bytes(measurement)
-            )
-        self._wrap_lite(backend)
-        self.backends.append(backend)
-        return backend
-
-    def _wrap_lite(self, backend: LiteBackend) -> None:
+    def _wrap_lite(self, backend: Backend) -> None:
         """Dispatch lite envelopes ahead of the TLS handler on 443."""
         tls_handler = backend.host.handler_for(HTTPS_PORT)
-        processing = self.processing_time
         suffix = backend.ip_address.encode()
 
         def dispatch(payload: bytes, context) -> bytes:
@@ -320,7 +193,7 @@ class LiteFleet:
                 message = None
             if not (isinstance(message, dict) and message.get("lite")):
                 return tls_handler(payload, context)
-            context.add_processing_time(processing)
+            context.add_processing_time(LITE_PROCESSING_TIME)
             if message.get("type") == "client_hello":
                 backend.sessions_opened += 1
                 session_id = (
@@ -338,106 +211,6 @@ class LiteFleet:
             )
 
         backend.host.listen(HTTPS_PORT, dispatch)
-
-    # -- signed-update support --------------------------------------
-
-    def update_backend(self, backend: LiteBackend, token: bytes) -> bytes:
-        """Relaunch *backend*'s TEE workload at the post-update state.
-
-        *token* names the update (the provisioner passes the target
-        launch measurement of the new image), so every family of the
-        lite fleet converges on one new golden value per update:
-        ``initial_state + b"@" + token``.  The backend's well-known
-        attestation endpoint is re-served with fresh evidence for the
-        new workload (``add_route`` overwrites), the new measurement
-        joins the family's golden set, and the old one stays admissible
-        until the provisioner revokes it after the rollout finishes.
-        Returns the new measurement."""
-        self._update_serial += 1
-        serial = f"lite-update-{self._update_serial}"
-        family = backend.family
-        if family == str(TeeFamily.SEV_SNP):
-            state = self._initial_state(b"snp") + b"@" + token
-            chip = self.deployment.amd.provision_chip(serial)
-            guest = chip.launch_vm(state, GuestPolicy())
-            body = guest.get_report(self.binding).encode()
-            measurement = guest.measurement
-        elif family == str(TeeFamily.TDX):
-            state = self._initial_state(b"td") + b"@" + token
-            platform = self._hetero.intel.provision_platform(serial)
-            td = platform.launch_td(state)
-            body, measurement = td.get_quote(self.binding).encode(), td.mrtd
-        elif family == str(TeeFamily.CCA):
-            state = self._initial_state(b"realm") + b"@" + token
-            platform = self._hetero.arm.provision_platform(serial)
-            self._hetero._cpaks[platform.platform_id] = (
-                self._hetero.arm.cpak_certificate(platform)
-            )
-            realm = platform.launch_realm(state)
-            body, measurement = realm.attest(self.binding).encode(), realm.rim
-        elif family == str(TeeFamily.VTPM):
-            state = self._hetero._initial_state(b"vtpm-vm") + b"@" + token
-            chip = self.deployment.amd.provision_chip(serial)
-            guest = chip.launch_vm(state, GuestPolicy())
-            vtpm = Vtpm(self._rng.fork(b"vtpm-update:" + serial.encode()))
-            endorsement = guest.get_report(
-                report_data_for(hashlib.sha256(vtpm.ak_public.encode()).digest())
-            )
-            body = MonitoringEvidence(
-                quote=vtpm.quote(self.binding, [PCR_SERVICES]),
-                event_log=list(vtpm.event_log),
-                ak_public=vtpm.ak_public,
-                ak_endorsement=endorsement,
-            ).encode()
-            measurement = guest.measurement
-        else:
-            raise ValueError(f"unknown TEE family {family!r}")
-
-        server = self._servers[backend.ip_address]
-        payload = Evidence(family, body).encode()
-        server.add_route(
-            "GET",
-            WELL_KNOWN_ATTESTATION_PATH,
-            lambda request, context: HttpResponse.ok(
-                payload, "application/octet-stream"
-            ),
-            processing_time=self.deployment.latency.report_endpoint_processing,
-        )
-        measurement = bytes(measurement)
-        if family == str(TeeFamily.SEV_SNP):
-            self._snp_goldens.add(measurement)
-        else:
-            self._family_goldens.setdefault(family, set()).add(measurement)
-        backend.measurement = measurement
-        return measurement
-
-    def retire_measurement(self, family: str, measurement: bytes) -> None:
-        """Drop an old golden after a completed update (the provisioner
-        calls this once no backend of *family* still runs it)."""
-        measurement = bytes(measurement)
-        if family == str(TeeFamily.SEV_SNP):
-            self._snp_goldens.discard(measurement)
-        else:
-            self._family_goldens.get(family, set()).discard(measurement)
-
-    # -- gateway wiring ---------------------------------------------
-
-    def snp_goldens(self) -> List[bytes]:
-        """Lite SNP launch measurements, to merge into the gateways'
-        *global* golden set (next to the deployment build's), so the
-        family overlay never shadows the real SNP nodes."""
-        return sorted(self._snp_goldens)
-
-    def contexts(self) -> Dict[str, object]:
-        return self._hetero.contexts()
-
-    def family_policies(self) -> Dict[str, FamilyPolicy]:
-        """Golden overlays for the non-SNP families only (SNP goldens
-        ride the global set; see :meth:`snp_goldens`)."""
-        return {
-            family: FamilyPolicy(golden_measurements=sorted(goldens))
-            for family, goldens in sorted(self._family_goldens.items())
-        }
 
 
 class GatewayMesh:
@@ -472,9 +245,6 @@ class GatewayMesh:
         kernel: Optional[EventKernel] = None,
         regions: Tuple[str, ...] = ("region-a", "region-b"),
         concurrency: int = 4,
-        extra_goldens=(),
-        register_dns: bool = True,
-        mesh_kwargs: Optional[dict] = None,
         shared_farm: bool = False,
         **gateway_kwargs,
     ) -> "GatewayMesh":
@@ -489,7 +259,7 @@ class GatewayMesh:
         gateway, so any gateway's re-attestation round batches against
         the same blinder DRBG and counter stream (an explicit ``farm``
         in *gateway_kwargs* wins)."""
-        mesh = cls(deployment.network, kernel, **(mesh_kwargs or {}))
+        mesh = cls(deployment.network, kernel)
         if shared_farm and "farm" not in gateway_kwargs:
             from ..attest.farm import VerifyFarm
 
@@ -498,10 +268,6 @@ class GatewayMesh:
                 latency=deployment.network.latency,
                 seed=b"mesh-verify-farm",
             )
-        goldens = sorted(
-            {bytes(deployment.build.expected_measurement),
-             *(bytes(g) for g in extra_goldens)}
-        )
         for index, region in enumerate(regions):
             name = f"gateway-{region}"
             gateway = FleetGateway(
@@ -510,7 +276,7 @@ class GatewayMesh:
                 domain=deployment.domain,
                 kds=deployment._new_kds_client(),
                 trust_anchors=[deployment.web_pki.trust_anchor],
-                golden_measurements=goldens,
+                golden_measurements=[deployment.build.expected_measurement],
                 rng=deployment.rng.fork(b"mesh-gateway:" + name.encode()),
                 kernel=kernel,
                 name=name,
@@ -526,8 +292,7 @@ class GatewayMesh:
                 concurrency=concurrency,
                 region=region,
             )
-        if register_dns:
-            deployment.network.dns.register(deployment.domain, "10.9.0.1")
+        deployment.network.dns.register(deployment.domain, "10.9.0.1")
         return mesh
 
     def add_gateway(self, gateway: FleetGateway) -> None:
@@ -557,23 +322,14 @@ class GatewayMesh:
                 region=region, server=server,
             )
 
-    def attach_lite_fleet(self, fleet: LiteFleet, concurrency: int = 4) -> None:
-        """Teach every gateway the lite fleet's trust contexts and
-        family overlays, widen the global golden set with the lite SNP
-        measurements, and register each backend mesh-wide."""
-        snp_goldens = fleet.snp_goldens()
+    def attach_lite_fleet(self, fleet: LiteFleet) -> None:
+        """Sync every gateway with the lite fleet's trust and register
+        each of its backends mesh-wide."""
         for name in sorted(self.gateways):
-            gateway = self.gateways[name]
-            gateway.verifier.contexts.update(fleet.contexts())
-            gateway.family_policies.update(fleet.family_policies())
-            gateway.golden_measurements = sorted(
-                {*gateway.golden_measurements, *snp_goldens}
-            )
+            fleet.sync_gateway(self.gateways[name])
         for backend in fleet.backends:
             self.add_backend(
-                backend.ip_address,
-                concurrency=concurrency,
-                family=backend.family,
+                backend.ip_address, family=backend.family,
                 region=backend.region,
             )
 
@@ -583,17 +339,19 @@ class GatewayMesh:
         """The shard owning a session key (consistent hash)."""
         return self.gateways[self._ring.node_for(session_key)]
 
-    def _backend_region(self, ip_address: str) -> Optional[str]:
+    def _registration(self, ip_address: str):
+        """The backend's state on the first gateway that registered it."""
         for name in sorted(self.gateways):
             backend = self.gateways[name].backends.get(ip_address)
             if backend is not None:
-                return backend.region
+                return backend
         return None
 
     def home_gateway(self, ip_address: str) -> FleetGateway:
         """The gateway responsible for probing a backend: the first
         gateway in its region, or its hash owner if no region matches."""
-        region = self._backend_region(ip_address)
+        registration = self._registration(ip_address)
+        region = registration.region if registration is not None else None
         if region is not None:
             for name in sorted(self.gateways):
                 if self.gateways[name].region == region:
@@ -701,6 +459,31 @@ class GatewayMesh:
                 )
             )
         return monitors
+
+    def replace_backend(self, ip_address: str, relaunch,
+                        drain_poll: float = 0.05,
+                        drain_deadline: float = 60.0,
+                        concurrency: int = 4):
+        """Kernel process: one rollout step.  Drain the backend on every
+        gateway and retire it, call ``relaunch()``, register the
+        replacement (same family and region) on a fresh service
+        station, have its home gateway attest it, and gossip the verdict
+        to the other shards.  Returns ``(drain poll rounds, verdict)``;
+        the replacement serves only once its fresh verdict passes."""
+        registration = self._registration(ip_address)
+        rounds = yield from drain_backend(
+            [self.gateways[name] for name in sorted(self.gateways)],
+            ip_address, poll_interval=drain_poll, deadline=drain_deadline,
+        )
+        relaunch()
+        self._servers.pop(ip_address, None)
+        self.add_backend(
+            ip_address, concurrency=concurrency,
+            family=registration.family, region=registration.region,
+        )
+        verdict = self.home_gateway(ip_address).attest_and_admit(ip_address)
+        self.flush_gossip()
+        return rounds, verdict
 
     # -- faults ------------------------------------------------------
 
@@ -914,147 +697,3 @@ class MeshWorkload:
         out["sessions_completed"] = self.sessions_completed
         out["sessions_failed"] = self.sessions_failed
         return {key: out[key] for key in sorted(out)}
-
-
-@dataclass
-class MeshRolloutReport:
-    """What a hierarchical mesh rollout did, in simulated time."""
-
-    old_measurement: str
-    new_measurement: str
-    regions: List[dict] = field(default_factory=list)
-    started_at: float = 0.0
-    finished_at: float = 0.0
-
-    @property
-    def sim_seconds(self) -> float:
-        return self.finished_at - self.started_at
-
-
-def region_rollout(
-    mesh: GatewayMesh,
-    deployment,
-    new_build,
-    app_factory: AppFactory = default_app,
-    node_registry=None,
-    drain_poll: float = 0.05,
-    drain_deadline: float = 60.0,
-    concurrency: int = 4,
-    report: Optional[MeshRolloutReport] = None,
-    regions: Optional[List[str]] = None,
-    lite_fleet: Optional[LiteFleet] = None,
-):
-    """Kernel process: the PR-4 rolling rollout, hierarchically over a
-    mesh.  Regions are processed one at a time (sorted, or *regions*
-    order); inside a region, one node at a time is drained on **every**
-    gateway simultaneously, replaced, re-admitted by the SP, attested
-    by its home gateway, and the passing verdict is gossiped to the
-    rest of the mesh — so the other shards route to the replacement
-    without probing it themselves."""
-    if deployment.sp is None or deployment.provisioning is None:
-        raise RolloutError("fleet not provisioned; nothing to roll out")
-    old_measurement = bytes(deployment.build.expected_measurement)
-    new_measurement = bytes(new_build.expected_measurement)
-    if old_measurement == new_measurement:
-        raise RolloutError("new image has the identical measurement; nothing to do")
-    clock = mesh.network.clock
-    if report is None:
-        report = MeshRolloutReport(
-            old_measurement=old_measurement.hex(),
-            new_measurement=new_measurement.hex(),
-        )
-    report.started_at = clock.now
-
-    registry = node_registry
-    if registry is None:
-        registry = StaticRegistry(
-            golden={deployment.domain: [old_measurement, new_measurement]}
-        )
-    for deployed in deployment.nodes:
-        deployed.node.trusted_registry = registry
-    if new_measurement not in deployment.sp.expected_measurements:
-        deployment.sp.expected_measurements.append(new_measurement)
-    gateways = [mesh.gateways[name] for name in sorted(mesh.gateways)]
-    for gateway in gateways:
-        gateway.golden_measurements = sorted(
-            {*gateway.golden_measurements, new_measurement}
-        )
-
-    node_region = {
-        deployed.host.ip_address: mesh._backend_region(deployed.host.ip_address)
-        for deployed in deployment.nodes
-    }
-    rollout_regions = regions
-    if rollout_regions is None:
-        rollout_regions = sorted(
-            {region for region in node_region.values() if region is not None}
-        ) or [None]
-
-    for region in rollout_regions:
-        region_started = clock.now
-        replaced = []
-        for index in range(len(deployment.nodes)):
-            ip_address = deployment.nodes[index].host.ip_address
-            if node_region.get(ip_address) != region:
-                continue
-            node_started = clock.now
-            for gateway in gateways:
-                gateway.mark_draining(ip_address)
-            server = mesh._servers.get(ip_address)
-            drain_started = clock.now
-            rounds = 0
-            while server is not None and server.outstanding > 0:
-                if clock.now - drain_started >= drain_deadline:
-                    break
-                rounds += 1
-                yield sleep(drain_poll)
-            for gateway in gateways:
-                gateway.retire(ip_address)
-            key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
-            replace_node(
-                deployment, index, new_build, app_factory,
-                node_registry=registry,
-            )
-            deployment.sp.admit_node(
-                ip_address, key_holder, deployment.provisioning.certificate_chain
-            )
-            if lite_fleet is not None:
-                # The replacement re-bound port 443; restore the lite
-                # dispatcher in front of its fresh TLS handler.
-                lite_fleet.adopt_node(deployment.nodes[index])
-            mesh._servers.pop(ip_address, None)  # fresh station for the new VM
-            mesh.add_backend(
-                ip_address, concurrency=concurrency, region=region
-            )
-            home = mesh.home_gateway(ip_address)
-            verdict = home.attest_and_admit(ip_address)
-            if not verdict.ok:
-                raise RolloutError(
-                    f"replacement node {ip_address} failed admission: "
-                    f"{verdict.reason} ({verdict.detail})"
-                )
-            mesh.flush_gossip()
-            replaced.append(
-                {
-                    "ip_address": ip_address,
-                    "drain_poll_rounds": rounds,
-                    "sim_seconds": clock.now - node_started,
-                }
-            )
-        report.regions.append(
-            {
-                "region": region,
-                "replacements": replaced,
-                "sim_seconds": clock.now - region_started,
-            }
-        )
-
-    update_golden_set(deployment, old_measurement, new_measurement)
-    deployment.build = new_build
-    for gateway in gateways:
-        gateway.golden_measurements = [new_measurement]
-        gateway.revoked_measurements = sorted(
-            {*gateway.revoked_measurements, old_measurement}
-        )
-    report.finished_at = clock.now
-    return report

@@ -39,18 +39,16 @@ via signed-manifest epochs", operationally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
-from ..attest import TeeFamily
 from ..attest.trace import get_tracer
 from ..build.channel import SignedManifest, UpdateChannel, UpdateClient
 from ..build.delta import compute_delta
 from ..core.deployment import AppFactory, default_app
-from ..core.rollout import RolloutError, replace_node, update_golden_set
-from ..core.trusted_registry import StaticRegistry
+from ..core.rollout import RolloutError, rejoin_node
 from ..crypto.keys import PrivateKey
-from ..sim.kernel import sleep
-from .drain import _key_holder_ip
+from .drain import begin_rollout, check_rollout, finish_rollout
 from .mesh import GatewayMesh, LiteFleet
 
 
@@ -154,26 +152,23 @@ class FleetProvisioner:
 
     # -- phases ------------------------------------------------------
 
-    def _discover(self) -> Dict[Optional[str], dict]:
-        """Group the fleet by region: the deployment's SNP node indices
-        and the lite fleet's backends."""
-        plan: Dict[Optional[str], dict] = {}
+    def _discover(self) -> Dict[Optional[str], list]:
+        """Group the fleet by region: the deployment's SNP nodes first,
+        then the lite fleet's backends.  Each member is ``(ip, kind,
+        node index or lite backend)``."""
+        plan: Dict[Optional[str], list] = {}
+        deployment_ips = set()
         for index, deployed in enumerate(self.deployment.nodes):
-            ip_address = deployed.host.ip_address
-            region = self.mesh._backend_region(ip_address)
-            entry = plan.setdefault(region, {"nodes": [], "lite": []})
-            entry["nodes"].append(index)
+            deployment_ips.add(deployed.host.ip_address)
+            plan.setdefault(deployed.host.region, []).append(
+                (deployed.host.ip_address, "deployment", index)
+            )
         if self.lite_fleet is not None:
-            deployment_ips = {
-                deployed.host.ip_address for deployed in self.deployment.nodes
-            }
             for backend in self.lite_fleet.backends:
-                if backend.ip_address in deployment_ips:
-                    continue
-                entry = plan.setdefault(
-                    backend.region, {"nodes": [], "lite": []}
-                )
-                entry["lite"].append(backend)
+                if backend.ip_address not in deployment_ips:
+                    plan.setdefault(backend.region, []).append(
+                        (backend.ip_address, f"lite-{backend.family}", backend)
+                    )
         return plan
 
     def _node_update(self, installed, signed: SignedManifest, blob: bytes,
@@ -209,25 +204,24 @@ class FleetProvisioner:
     ):
         """Kernel process: move the whole fleet to *target_build*.
 
-        Regions update serially; inside a region, deployment nodes roll
-        one at a time (drain → retire → replace → SP re-admission →
-        home-gateway attestation → gossip), then the region's lite
-        backends relaunch at the new token and re-attest the same way.
-        Raises :class:`RolloutError` if any replacement fails
-        admission; raises :class:`~repro.build.channel.ChannelError` if
-        any node rejects the update — in both cases the fleet keeps
-        serving from the old, still-golden measurement.
+        Regions update serially; inside a region, deployment nodes and
+        then lite backends roll one at a time through
+        :meth:`GatewayMesh.replace_backend` (drain → retire → relaunch →
+        home-gateway attestation → gossip).  A deployment node is
+        relaunched by :func:`~repro.core.rollout.rejoin_node` (SP
+        re-admission) and re-taught the lite protocol; a lite backend
+        by :meth:`LiteFleet.relaunch` at the new token.  Raises
+        :class:`RolloutError` if any replacement fails admission;
+        raises :class:`~repro.build.channel.ChannelError` if any node
+        rejects the update — in both cases the fleet keeps serving from
+        the old, still-golden measurement.
         """
-        deployment, mesh = self.deployment, self.mesh
-        if deployment.sp is None or deployment.provisioning is None:
-            raise RolloutError("fleet not provisioned; nothing to update")
+        deployment, mesh, lite = self.deployment, self.mesh, self.lite_fleet
+        gateways = [mesh.gateways[name] for name in sorted(mesh.gateways)]
         base_build = deployment.build
         old_measurement = bytes(base_build.expected_measurement)
         new_measurement = bytes(target_build.expected_measurement)
-        if old_measurement == new_measurement:
-            raise RolloutError(
-                "target build has the identical measurement; nothing to do"
-            )
+        check_rollout(deployment, target_build)
         clock = mesh.network.clock
         if report is None:
             report = ProvisionReport()
@@ -240,66 +234,52 @@ class FleetProvisioner:
 
         # -- discover ------------------------------------------------
         plan = self._discover()
-        report.discovered = sum(
-            len(entry["nodes"]) + len(entry["lite"]) for entry in plan.values()
-        )
+        report.discovered = sum(len(members) for members in plan.values())
 
         # -- build + publish -----------------------------------------
         delta = compute_delta(base_build.image, target_build.image)
         signed = self.channel.publish(delta, old_measurement, new_measurement)
         report.epoch = signed.manifest.epoch
         blob = self.channel.blob(signed.manifest.delta_digest)
-
-        # Widen trust to the target measurement *before* any node moves
-        # (both must be golden while the fleet is mixed).
-        registry = node_registry
-        if registry is None:
-            registry = StaticRegistry(
-                golden={
-                    deployment.domain: [old_measurement, new_measurement]
-                }
-            )
-        for deployed in deployment.nodes:
-            deployed.node.trusted_registry = registry
-        if new_measurement not in deployment.sp.expected_measurements:
-            deployment.sp.expected_measurements.append(new_measurement)
-        gateways = [mesh.gateways[name] for name in sorted(mesh.gateways)]
-        for gateway in gateways:
-            gateway.golden_measurements = sorted(
-                {*gateway.golden_measurements, new_measurement}
-            )
-
-        lite = self.lite_fleet
-        old_snp_goldens = set(lite.snp_goldens()) if lite is not None else set()
-        old_family_goldens = (
-            {
-                family: set(goldens)
-                for family, goldens in lite._family_goldens.items()
-            }
-            if lite is not None
-            else {}
+        # Widen trust to the target *before* any node moves (both must
+        # be golden while the fleet is mixed), and only once the update
+        # is published.
+        registry = begin_rollout(
+            deployment, gateways, target_build, node_registry
         )
         retired_requests_before = self._retired_requests()
+
+        def relaunch(kind, member):
+            if kind == "deployment":
+                rejoin_node(
+                    deployment, member, target_build, app_factory, registry
+                )
+                if lite is not None:
+                    # The replacement re-bound port 443; restore the
+                    # lite dispatcher in front of its fresh TLS handler.
+                    lite.adopt_node(deployment.nodes[member])
+                return
+            # The new workload's golden joins the fleet's map; sync it
+            # to every shard before the home gateway re-attests.
+            lite.relaunch(member, token=new_measurement)
+            for gateway in gateways:
+                lite.sync_gateway(gateway)
 
         update_regions = regions
         if update_regions is None:
             update_regions = sorted(
-                (region for region in plan if region is not None),
-                key=str,
+                (region for region in plan if region is not None), key=str
             )
             if None in plan:
                 update_regions.append(None)
 
         # -- deliver / apply / re-attest / admit, region-serial ------
         for region in update_regions:
-            entry = plan.get(region)
-            if entry is None:
+            if region not in plan:
                 continue
             region_started = clock.now
             replaced: List[dict] = []
-
-            for index in entry["nodes"]:
-                ip_address = deployment.nodes[index].host.ip_address
+            for ip_address, kind, member in plan[region]:
                 node_started = clock.now
                 applied = self._node_update(
                     base_build.image, signed, blob, report,
@@ -309,108 +289,26 @@ class FleetProvisioner:
                     raise RolloutError(
                         f"applied image for {ip_address} is not the target"
                     )
-                for gateway in gateways:
-                    gateway.mark_draining(ip_address)
-                server = mesh._servers.get(ip_address)
-                drain_started = clock.now
-                rounds = 0
-                while server is not None and server.outstanding > 0:
-                    if clock.now - drain_started >= drain_deadline:
-                        break
-                    rounds += 1
-                    yield sleep(drain_poll)
-                for gateway in gateways:
-                    gateway.retire(ip_address)
-                key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
-                replace_node(
-                    deployment, index, target_build, app_factory,
-                    node_registry=registry,
+                rounds, verdict = yield from mesh.replace_backend(
+                    ip_address, partial(relaunch, kind, member),
+                    drain_poll=drain_poll, drain_deadline=drain_deadline,
+                    concurrency=concurrency,
                 )
-                deployment.sp.admit_node(
-                    ip_address, key_holder,
-                    deployment.provisioning.certificate_chain,
-                )
-                if lite is not None:
-                    # The replacement re-bound port 443; restore the
-                    # lite dispatcher in front of its fresh TLS handler.
-                    lite.adopt_node(deployment.nodes[index])
-                mesh._servers.pop(ip_address, None)
-                mesh.add_backend(
-                    ip_address, concurrency=concurrency, region=region
-                )
-                home = mesh.home_gateway(ip_address)
-                verdict = home.attest_and_admit(ip_address)
                 report.reattested += 1
                 if not verdict.ok:
                     raise RolloutError(
-                        f"replacement node {ip_address} failed admission: "
+                        f"replacement {ip_address} failed admission: "
                         f"{verdict.reason} ({verdict.detail})"
                     )
                 report.admitted += 1
-                mesh.flush_gossip()
                 replaced.append(
                     {
                         "ip_address": ip_address,
-                        "kind": "deployment",
+                        "kind": kind,
                         "drain_poll_rounds": rounds,
                         "sim_seconds": clock.now - node_started,
                     }
                 )
-
-            for backend in entry["lite"]:
-                ip_address = backend.ip_address
-                node_started = clock.now
-                self._node_update(
-                    base_build.image, signed, blob, report,
-                    node_measurement=old_measurement,
-                )
-                for gateway in gateways:
-                    gateway.mark_draining(ip_address)
-                server = mesh._servers.get(ip_address)
-                drain_started = clock.now
-                rounds = 0
-                while server is not None and server.outstanding > 0:
-                    if clock.now - drain_started >= drain_deadline:
-                        break
-                    rounds += 1
-                    yield sleep(drain_poll)
-                for gateway in gateways:
-                    gateway.retire(ip_address)
-                assert lite is not None
-                lite.update_backend(backend, token=new_measurement)
-                mesh._servers.pop(ip_address, None)
-                mesh.add_backend(
-                    ip_address, concurrency=concurrency,
-                    family=backend.family, region=region,
-                )
-                # The updated workload's golden joined the lite fleet's
-                # sets; sync it to every shard before re-attesting.
-                snp_goldens = lite.snp_goldens()
-                family_policies = lite.family_policies()
-                for gateway in gateways:
-                    gateway.golden_measurements = sorted(
-                        {*gateway.golden_measurements, *snp_goldens}
-                    )
-                    gateway.family_policies.update(family_policies)
-                home = mesh.home_gateway(ip_address)
-                verdict = home.attest_and_admit(ip_address)
-                report.reattested += 1
-                if not verdict.ok:
-                    raise RolloutError(
-                        f"updated backend {ip_address} failed admission: "
-                        f"{verdict.reason} ({verdict.detail})"
-                    )
-                report.admitted += 1
-                mesh.flush_gossip()
-                replaced.append(
-                    {
-                        "ip_address": ip_address,
-                        "kind": f"lite-{backend.family}",
-                        "drain_poll_rounds": rounds,
-                        "sim_seconds": clock.now - node_started,
-                    }
-                )
-
             report.regions.append(
                 {
                     "region": region,
@@ -420,35 +318,7 @@ class FleetProvisioner:
             )
 
         # -- finalize: revoke the old world --------------------------
-        update_golden_set(deployment, old_measurement, new_measurement)
-        deployment.build = target_build
-        revoked = {old_measurement}
-        if lite is not None:
-            live = {bytes(b.measurement) for b in lite.backends}
-            for family, goldens in old_family_goldens.items():
-                for golden in goldens:
-                    if golden not in live:
-                        lite.retire_measurement(family, golden)
-            snp_family = str(TeeFamily.SEV_SNP)
-            for golden in old_snp_goldens:
-                if golden not in live:
-                    lite.retire_measurement(snp_family, golden)
-                    revoked.add(golden)
-            family_policies = lite.family_policies()
-            snp_goldens = set(lite.snp_goldens())
-        else:
-            family_policies = None
-            snp_goldens = set()
-        for gateway in gateways:
-            gateway.golden_measurements = sorted(
-                {new_measurement, *snp_goldens}
-            )
-            gateway.revoked_measurements = sorted(
-                {*gateway.revoked_measurements, *revoked}
-            )
-            if family_policies is not None:
-                gateway.family_policies.update(family_policies)
-
+        finish_rollout(deployment, gateways, target_build, fleet=lite)
         report.requests_to_unattested = (
             self._retired_requests() - retired_requests_before
         )

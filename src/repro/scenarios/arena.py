@@ -43,7 +43,6 @@ from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
 from ..core.kds_client import KdsClient
 from ..core.key_sharing import report_data_for
 from ..crypto.drbg import HmacDrbg
-from ..crypto.keys import PrivateKey
 from ..fleet import FleetGateway, HeterogeneousFleet
 from ..net.http import HttpResponse, HttpServer
 from ..net.latency import LatencyModel, SimClock
@@ -96,36 +95,31 @@ class StormWorld:
 
         self.hetero = HeterogeneousFleet(self.deployment)
         self.hetero_ips: Dict[str, List[str]] = {}
-        adders = {
-            str(TeeFamily.TDX): (self.hetero.add_tdx_backend, "10.8.1."),
-            str(TeeFamily.CCA): (self.hetero.add_cca_backend, "10.8.2."),
-            str(TeeFamily.VTPM): (self.hetero.add_vtpm_backend, "10.8.3."),
+        subnets = {
+            str(TeeFamily.TDX): "10.8.1.",
+            str(TeeFamily.CCA): "10.8.2.",
+            str(TeeFamily.VTPM): "10.8.3.",
         }
         for family in campaign.hetero_families:
-            add, prefix = adders[str(family)]
-            ip = prefix + "10"
-            add(ip)
+            ip = subnets[str(family)] + "10"
+            self.hetero.add_backend(ip, family)
             self.hetero_ips.setdefault(str(family), []).append(ip)
-        if self.hetero.backends:
-            verdicts = self.hetero.attach_gateway(self.gateway)
-            assert all(v.ok for v in verdicts), [
-                (v.ip_address, v.reason) for v in verdicts if not v.ok
-            ]
-        else:
-            # Family scenarios still need the contexts (e.g. a rogue
-            # registered under a family with no honest peers).
-            self.gateway.verifier.contexts.update(self.hetero.contexts())
+        # Attached even with no backends: family scenarios still need
+        # the contexts (e.g. a rogue registered under a family with no
+        # honest peers).
+        verdicts = self.hetero.attach_gateway(self.gateway)
+        assert all(v.ok for v in verdicts), [
+            (v.ip_address, v.reason) for v in verdicts if not v.ok
+        ]
 
         self.node_ips = [
             self.deployment.node_ip(i) for i in range(campaign.backends)
         ]
 
-        leader = self.deployment.leader
-        self.chain = list(leader.node.certificate_chain)
-        self.tls_key = PrivateKey("ecdsa", leader.node.tls_private_key)
-        self.binding = report_data_for(
-            self.tls_key.public_key().fingerprint()
-        )
+        #: The fleet's shared TLS identity and the evidence binding it.
+        self.chain = self.hetero.chain
+        self.tls_key = self.hetero.tls_key
+        self.binding = self.hetero.binding
         #: Deterministic entropy for injectors (forked per use).
         self.drbg = self.deployment.rng.fork(b"scenario-injectors")
         #: Attacker vantage point outside the fleet.

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.rollout import RolloutError
-from repro.fleet import FleetWorkload, UserPool, drain_backend, rolling_rollout
+from repro.fleet import (
+    FleetWorkload,
+    HeterogeneousFleet,
+    UserPool,
+    drain_backend,
+    rolling_rollout,
+)
 from repro.sim.kernel import run_until_complete, sleep
 from tests.fleet.conftest import make_world
 
@@ -12,7 +18,7 @@ class TestDrain:
     def test_idle_backend_drains_immediately(self, event_world):
         _, gateway, kernel = event_world
         ip = sorted(gateway.backends)[0]
-        rounds = run_until_complete(kernel, drain_backend(gateway, ip))
+        rounds = run_until_complete(kernel, drain_backend([gateway], ip))
         assert rounds == 0
         assert gateway.backends[ip].state == "retired"
         assert gateway.counters["drains_started"] == 1
@@ -29,7 +35,7 @@ class TestDrain:
         kernel.spawn(busy_job(), name="busy")
 
         def drain():
-            rounds = yield from drain_backend(gateway, ip, poll_interval=0.25)
+            rounds = yield from drain_backend([gateway], ip, poll_interval=0.25)
             return rounds
 
         rounds = run_until_complete(kernel, drain())
@@ -77,6 +83,28 @@ class TestRollingRollout:
         for backend in gateway.backends.values():
             assert backend.state == "admitted"
             assert backend.requests_after_retired == 0
+
+    def test_every_backend_reattests_after_rollout(
+        self, fleet_build, fleet_build_v2
+    ):
+        """The finish step revokes the deployment's old image and keeps
+        every other golden: a fleet's SNP backend, whose golden rides
+        the gateway's global set, still re-attests afterwards."""
+        deployment, gateway, kernel = make_world(fleet_build, with_kernel=True)
+        fleet = HeterogeneousFleet(deployment)
+        fleet.add_backend("10.1.0.10", "sev-snp")
+        fleet.add_backend("10.1.0.11", "tdx")
+        assert all(v.ok for v in fleet.attach_gateway(gateway))
+
+        run_until_complete(
+            kernel, rolling_rollout(gateway, deployment, fleet_build_v2)
+        )
+        assert bytes(fleet_build.expected_measurement) not in (
+            gateway.golden_measurements
+        )
+        for ip_address in sorted(gateway.backends):
+            verdict = gateway.attest_and_admit(ip_address)
+            assert verdict.ok, (ip_address, verdict.reason)
 
     def test_identical_measurement_is_refused(self, event_world, fleet_build):
         deployment, gateway, kernel = event_world

@@ -105,8 +105,8 @@ class TestKdsBlackhole:
         their trust material survives the verifier swap."""
         deployment, gateway, _ = sync_world
         fleet = HeterogeneousFleet(deployment)
-        fleet.add_tdx_backend("10.1.0.10")
-        fleet.add_cca_backend("10.1.0.40")
+        fleet.add_backend("10.1.0.10", "tdx")
+        fleet.add_backend("10.1.0.40", "arm-cca")
         assert all(v.ok for v in fleet.attach_gateway(gateway))
 
         hole = blackhole_kds(gateway, clear_cache=True)
@@ -140,8 +140,8 @@ class TestTcbFloor:
 class TestFamilyFaults:
     def _hetero(self, deployment, gateway):
         fleet = HeterogeneousFleet(deployment)
-        fleet.add_tdx_backend("10.1.0.10")
-        fleet.add_cca_backend("10.1.0.40")
+        fleet.add_backend("10.1.0.10", "tdx")
+        fleet.add_backend("10.1.0.40", "arm-cca")
         verdicts = fleet.attach_gateway(gateway)
         assert all(v.ok for v in verdicts), [
             (v.ip_address, v.reason) for v in verdicts if not v.ok
@@ -235,7 +235,7 @@ class TestSymmetricRevert:
     def test_family_floor_revert_removes_the_floor(self, sync_world):
         deployment, gateway, _ = sync_world
         fleet = HeterogeneousFleet(deployment)
-        fleet.add_tdx_backend("10.1.0.10")
+        fleet.add_backend("10.1.0.10", "tdx")
         assert all(v.ok for v in fleet.attach_gateway(gateway))
         handle = raise_family_tcb_floor(gateway, "tdx", 4)
         assert gateway.attest_and_admit("10.1.0.10").reason == "family_tcb_floor"
@@ -248,7 +248,7 @@ class TestSymmetricRevert:
     def test_revoke_family_revert_lifts_the_revocation(self, sync_world):
         deployment, gateway, _ = sync_world
         fleet = HeterogeneousFleet(deployment)
-        fleet.add_tdx_backend("10.1.0.10")
+        fleet.add_backend("10.1.0.10", "tdx")
         assert all(v.ok for v in fleet.attach_gateway(gateway))
         handle = revoke_family(gateway, "tdx")
         assert gateway.backends["10.1.0.10"].state == "evicted"

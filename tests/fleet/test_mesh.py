@@ -1,5 +1,6 @@
-"""The gateway mesh: hash routing, verdict gossip, lite fleet, region
-rollouts (DESIGN.md invariant 14)."""
+"""The gateway mesh: hash routing, verdict gossip, lite fleet (DESIGN.md
+invariant 14).  Region-serial rollouts over the mesh are covered by
+``test_provision``."""
 
 import pytest
 
@@ -11,10 +12,8 @@ from repro.fleet import (
     GossipedVerdict,
     LiteFleet,
     MeshWorkload,
-    region_rollout,
 )
 from repro.sim import EventKernel, SimRng
-from repro.sim.kernel import sleep
 
 REGIONS = ("east", "west")
 LITE_FAMILIES = ("sev-snp", "tdx", "arm-cca", "e-vtpm")
@@ -267,65 +266,3 @@ class TestMeshStorm:
             return workload.snapshot()
 
         assert one_run() == one_run()
-
-
-class TestRegionRollout:
-    def test_hierarchical_rollout_under_storm(self, fleet_build, fleet_build_v2):
-        deployment, mesh, fleet, kernel = make_event_mesh(fleet_build)
-        old = bytes(fleet_build.expected_measurement)
-        new = bytes(fleet_build_v2.expected_measurement)
-
-        def delayed_rollout():
-            yield sleep(2.0)
-            report = yield from region_rollout(
-                mesh, deployment, fleet_build_v2, drain_poll=0.05,
-                lite_fleet=fleet,
-            )
-            return report
-
-        workload, rollout_process = run_storm(
-            mesh, kernel, sessions=200, arrival_rate=25.0,
-            rollout=delayed_rollout(),
-        )
-        assert workload.sessions_completed == 200
-        assert workload.sessions_failed == 0
-        assert workload.snapshot().get("requests_failed", 0) == 0
-
-        report = rollout_process.value
-        # One region at a time, in sorted order, every node replaced.
-        assert [entry["region"] for entry in report.regions] == sorted(REGIONS)
-        replaced = [
-            replacement["ip_address"]
-            for entry in report.regions
-            for replacement in entry["replacements"]
-        ]
-        assert sorted(replaced) == sorted(
-            d.host.ip_address for d in deployment.nodes
-        )
-        assert deployment.build is fleet_build_v2
-        for gateway in mesh.gateways.values():
-            assert gateway.golden_measurements == [new]
-            assert old in gateway.revoked_measurements
-            for ip_address in replaced:
-                assert gateway.backends[ip_address].state == "admitted"
-
-    def test_post_rollout_sessions_still_served(self, fleet_build, fleet_build_v2):
-        deployment, mesh, fleet, kernel = make_event_mesh(fleet_build)
-
-        def rollout():
-            report = yield from region_rollout(
-                mesh, deployment, fleet_build_v2, drain_poll=0.05,
-                lite_fleet=fleet,
-            )
-            return report
-
-        process = kernel.spawn(rollout(), name="rollout")
-        while not process.finished:
-            kernel.run(until=kernel.clock.now + 10.0)
-        if process.error is not None:
-            raise process.error
-        # Replacement nodes answer lite sessions again (the lite wrapper
-        # was re-installed over the fresh TLS handler).
-        workload, _ = run_storm(mesh, kernel, sessions=60)
-        assert workload.sessions_completed == 60
-        assert workload.sessions_failed == 0

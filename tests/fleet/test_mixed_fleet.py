@@ -4,6 +4,8 @@ that costs the survivors nothing."""
 
 import json
 
+import pytest
+
 from repro.crypto import ec, sigcache
 from repro.fleet import (
     FleetWorkload,
@@ -15,6 +17,7 @@ from repro.sim import SimRng
 from repro.sim.kernel import sleep
 from tests.fleet.conftest import make_world
 
+FAMILIES = ("sev-snp", "tdx", "arm-cca", "e-vtpm")
 TIER_WEIGHTS = {"high": 0.3, "bulk": 0.7}
 HIGH_TIER_FAMILIES = {"sev-snp", "e-vtpm"}
 
@@ -22,10 +25,10 @@ HIGH_TIER_FAMILIES = {"sev-snp", "e-vtpm"}
 def attach_hetero(deployment, gateway):
     """Two TDX + one CCA + one e-vTPM backend joined to the fleet."""
     fleet = HeterogeneousFleet(deployment)
-    fleet.add_tdx_backend("10.1.0.10")
-    fleet.add_tdx_backend("10.1.0.11")
-    fleet.add_cca_backend("10.1.0.40")
-    fleet.add_vtpm_backend("10.1.0.70")
+    fleet.add_backend("10.1.0.10", "tdx")
+    fleet.add_backend("10.1.0.11", "tdx")
+    fleet.add_backend("10.1.0.40", "arm-cca")
+    fleet.add_backend("10.1.0.70", "e-vtpm")
     verdicts = fleet.attach_gateway(gateway)
     assert all(v.ok for v in verdicts), [
         (v.ip_address, v.reason) for v in verdicts if not v.ok
@@ -125,6 +128,48 @@ class TestMixedAdmission:
         result = browser.navigate(f"https://{deployment.domain}/")
         assert not result.blocked, result.block_reason
         assert gateway.counters["tier.bulk.sessions_opened"] >= 1
+
+
+class TestLauncher:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_add_relaunch_retire(self, sync_world, family):
+        """One launcher per family: a relaunched backend re-attests at
+        the new golden while its sibling keeps passing on the old one,
+        and retiring the old golden leaves only the new."""
+        deployment, gateway, _ = sync_world
+        fleet = HeterogeneousFleet(deployment)
+        moved = fleet.add_backend("10.1.0.10", family)
+        sibling = fleet.add_backend("10.1.0.11", family)
+        verdicts = fleet.attach_gateway(gateway)
+        assert all(v.ok for v in verdicts), [
+            (v.ip_address, v.reason) for v in verdicts if not v.ok
+        ]
+        old = moved.measurement
+        assert sibling.measurement == old
+        assert fleet.goldens[family] == {old}
+
+        new = fleet.relaunch(moved, token=b"target-image")
+        assert new != old and moved.measurement == new
+        assert fleet.goldens[family] == {old, new}
+        fleet.sync_gateway(gateway)
+        gateway.add_backend(moved.ip_address, family=family)
+        for backend in (moved, sibling):
+            verdict = gateway.attest_and_admit(backend.ip_address)
+            assert verdict.ok, (backend.ip_address, verdict.reason)
+
+        fleet.relaunch(sibling, token=b"target-image")
+        assert sibling.measurement == new
+        fleet.retire_measurement(family, old)
+        assert fleet.goldens[family] == {new}
+        overlays = fleet.family_policies()
+        if family == "sev-snp":
+            assert family not in overlays
+        else:
+            assert list(overlays[family].golden_measurements) == [new]
+        fleet.sync_gateway(gateway)
+        gateway.add_backend(sibling.ip_address, family=family)
+        verdict = gateway.attest_and_admit(sibling.ip_address)
+        assert verdict.ok, verdict.reason
 
 
 class TestMixedStorm:

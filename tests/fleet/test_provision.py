@@ -108,6 +108,13 @@ class TestProvisionUnderStorm:
             assert old in gateway.revoked_measurements
             for backend in gateway.backends.values():
                 assert backend.state == "admitted"
+        # Only the old world was revoked: a fresh attestation of every
+        # backend, on every shard, still passes.
+        for name in sorted(mesh.gateways):
+            gateway = mesh.gateways[name]
+            for ip_address in sorted(gateway.backends):
+                verdict = gateway.attest_and_admit(ip_address)
+                assert verdict.ok, (name, ip_address, verdict.reason)
 
         # And the moved fleet still serves.
         post = run_post_storm(mesh, kernel, sessions=60)
@@ -151,6 +158,27 @@ class TestProvisionUnderStorm:
         provisioner = make_provisioner(deployment, mesh, fleet)
         with pytest.raises(RolloutError, match="identical measurement"):
             run_provision(kernel, provisioner, fleet_build)
+        assert provisioner.channel.epoch == 0
+
+    def test_failed_publish_widens_no_trust(self, registry_and_pins, fleet_build):
+        registry, pins = registry_and_pins
+        foreign = build_revelio_image(make_spec(registry, pins, name="cryptpad"))
+        deployment, mesh, fleet, kernel = make_event_mesh(fleet_build)
+        provisioner = make_provisioner(deployment, mesh, fleet)
+        node_registries = [d.node.trusted_registry for d in deployment.nodes]
+        target = bytes(foreign.expected_measurement)
+
+        # A delta never crosses image identities, so nothing is
+        # published and no node, SP or gateway learns the target.
+        with pytest.raises(ValueError, match="image identities"):
+            run_provision(kernel, provisioner, foreign)
+        assert provisioner.channel.epoch == 0
+        assert target not in deployment.sp.expected_measurements
+        for gateway in mesh.gateways.values():
+            assert target not in gateway.golden_measurements
+        assert [d.node.trusted_registry for d in deployment.nodes] == (
+            node_registries
+        )
 
 
 class TestSuccessiveRuns:
