@@ -6,7 +6,10 @@ open) and warm (repeat passes), recording wall-clock throughput, the
 verity hash-path hit rate, and the simulated storage latency.  The
 shape to reproduce: crypt adds a roughly constant factor, verity
 multiplies cold reads by the hash-path depth, and the verified page
-cache collapses warm reads (>= 5x over cold, asserted).
+cache collapses warm reads (>= 5x over cold, asserted).  Every cold
+pass must read back exactly the bytes the volume was filled with
+(asserted after its timer stops), so a fast but wrong read path cannot
+report a throughput.
 
 A tamper section then flips one bit under each protected stack, cold
 and warm, and asserts every flip is rejected — the warm speedup must
@@ -37,8 +40,8 @@ HEADER_BLOCKS = 2
 
 
 def _build_variant(kind: str, blocks: int):
-    """Return (volume, raw_backing, raw_block_of_data_block) for one
-    stack variant over a freshly filled device."""
+    """Return (volume, raw_backing, raw_block_of_data_block, payload) for
+    one stack variant over a freshly filled device."""
     payload = HmacDrbg(b"bench-storage:%s" % kind.encode()).generate(blocks * BLOCK)
     if kind in ("crypt", "crypt+verity"):
         backing = RamBlockDevice(HEADER_BLOCKS + blocks, BLOCK)
@@ -72,21 +75,26 @@ def _build_variant(kind: str, blocks: int):
         targets.append(outer)
     table = DmTable.parse(kind, " ; ".join(targets))
     context = DmContext(devices=devices, keys=keys, cmdline_args=cmdline)
-    return table.open(context), backing, raw_of
+    return table.open(context), backing, raw_of, payload
 
 
-def _sequential_pass(volume) -> float:
+def _sequential_pass(volume):
+    """Read every block in order; return (seconds, the blocks read)."""
+    read = []
     started = time.perf_counter()
     for index in range(volume.num_blocks):
-        volume.read_block(index)
-    return time.perf_counter() - started
+        read.append(volume.read_block(index))
+    return time.perf_counter() - started, read
 
 
 def _measure_variant(kind: str, blocks: int, rounds: int) -> dict:
     reset_tracer()
-    volume, _, _ = _build_variant(kind, blocks)
-    cold = _sequential_pass(volume)
-    warm_passes = [_sequential_pass(volume) for _ in range(rounds)]
+    volume, _, _, payload = _build_variant(kind, blocks)
+    cold, read = _sequential_pass(volume)
+    # Checked after the timer stops: a fast but wrong read path must
+    # not report a throughput.
+    assert b"".join(read) == payload, f"{kind}: cold pass read wrong bytes"
+    warm_passes = [_sequential_pass(volume)[0] for _ in range(rounds)]
     warm = sum(warm_passes) / len(warm_passes)
     mib = blocks * BLOCK / (1024 * 1024)
     storage = get_tracer().storage
@@ -114,7 +122,7 @@ def _tamper_check(kind: str, warm: bool, probes: int = 8) -> dict:
     blocks = TAMPER_BLOCKS
     injected = rejected = 0
     for probe in range(probes):
-        volume, backing, raw_of = _build_variant(kind, blocks)
+        volume, backing, raw_of, _ = _build_variant(kind, blocks)
         if warm:
             _sequential_pass(volume)
         block = (probe * 7919) % blocks

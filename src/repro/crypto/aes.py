@@ -1,12 +1,25 @@
-"""AES-128/192/256 implemented from scratch, batch-vectorised with numpy.
+"""AES-128/192/256 implemented from scratch as one table-driven numpy core.
 
 The dm-crypt substrate (``repro.storage.dm_crypt``) encrypts whole disk
-volumes, so single-block Python AES would be hopeless.  This module
-implements the Rijndael cipher exactly (the S-box and round constants are
-*derived*, not pasted, and validated against FIPS-197 vectors in the test
-suite) but applies every round to an ``(n, 16)`` uint8 array of blocks at
-once, which turns the per-block cost into a handful of numpy table
-lookups and XORs.
+volumes and every TLS record is AES-CTR, so single-block Python AES
+would be hopeless.  This module implements the Rijndael cipher exactly
+(the S-box and round constants are *derived*, not pasted, and validated
+against FIPS-197 vectors and a byte-wise reference in the test suite)
+and applies every round to an ``(n, 16)`` array of blocks at once.
+
+SubBytes, ShiftRows and MixColumns are fused into one 1 Ki-entry
+``<u4`` column table per direction (the classic T-tables: entry
+``256*r + x`` is row ``r``'s contribution of ``S[x]`` to its output
+column).  A round is one ``take`` along the ShiftRows source order, one
+add of the row offsets, one gather, one XOR-reduce over each column's
+four contributions and the round key.  Decryption is the equivalent
+inverse cipher (FIPS-197 section 5.3.5) on the same round loop, so one
+block and 65,536 blocks cost the same ~6 numpy calls per round.  The
+tables are 4 KiB per direction and stay in L1, so a round's cost
+follows the core's speed, not how busy the shared caches are.  Tables
+indexed by byte pairs (64 Ki entries) would halve the gathers of a
+large request, but they live in L2, where their speed follows the load
+on neighbouring cores more than the machine's speed.
 """
 
 from __future__ import annotations
@@ -62,11 +75,7 @@ def _build_sbox() -> "tuple[np.ndarray, np.ndarray]":
 
 
 SBOX, INV_SBOX = _build_sbox()
-
-_MUL = {
-    factor: np.array([_gf_mul(x, factor) for x in range(256)], dtype=np.uint8)
-    for factor in (2, 3, 9, 11, 13, 14)
-}
+_SBOX_BYTES = SBOX.tobytes()
 
 # Flat state layout: index = 4*column + row (matches input byte order).
 _SHIFT_ROWS = np.array(
@@ -76,95 +85,105 @@ _INV_SHIFT_ROWS = np.array(
     [4 * ((i // 4 - i % 4) % 4) + i % 4 for i in range(16)], dtype=np.intp
 )
 
+
+def _column_table(sbox: np.ndarray, column: "tuple[int, ...]") -> np.ndarray:
+    """Fused S-box + MixColumns table, ``256*r + x`` -> row ``r``'s part.
+
+    ``column`` is the first column of the (inverse) MixColumns matrix;
+    row ``r`` of a column contributes ``column`` rotated by ``r`` times
+    ``sbox[x]``, as a ``<u4`` whose little-endian bytes are the output
+    column in row order.
+    """
+    row0 = np.array(
+        [[_gf_mul(int(s), c) for c in column] for s in sbox], dtype=np.uint8
+    )
+    return np.concatenate(
+        [np.roll(row0, r, axis=1).view("<u4").ravel() for r in range(4)]
+    )
+
+
+#: Table offset of each flat state byte (``256 * row``).
+_ROW_OFFSETS = np.tile(np.arange(4, dtype="<u2") * 256, 4)
+
+#: (ShiftRows source order, column table, final-round S-box) per direction.
+_ENCRYPT = (_SHIFT_ROWS, _column_table(SBOX, (2, 1, 1, 3)), SBOX)
+_DECRYPT = (_INV_SHIFT_ROWS, _column_table(INV_SBOX, (14, 9, 13, 11)), INV_SBOX)
+
 _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 2))
 
 
-def _expand_key(key: bytes) -> np.ndarray:
-    """FIPS-197 key expansion -> array of (rounds+1, 16) round keys."""
+def _expand_key(key: bytes) -> "list[int]":
+    """FIPS-197 key expansion -> 4*(rounds+1) little-endian column words."""
     nk = len(key) // 4
     rounds = {4: 10, 6: 12, 8: 14}[nk]
-    words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+    words = [int.from_bytes(key[4 * i : 4 * i + 4], "little") for i in range(nk)]
     for i in range(nk, 4 * (rounds + 1)):
-        temp = list(words[i - 1])
+        temp = words[i - 1]
         if i % nk == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [int(SBOX[b]) for b in temp]
-            temp[0] ^= _RCON[i // nk - 1]
+            temp = (temp >> 8) | ((temp & 0xFF) << 24)  # RotWord
+            temp = _sub_word(temp) ^ _RCON[i // nk - 1]
         elif nk > 6 and i % nk == 4:
-            temp = [int(SBOX[b]) for b in temp]
-        words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-    flat = [b for word in words for b in word]
-    return np.array(flat, dtype=np.uint8).reshape(rounds + 1, 16)
+            temp = _sub_word(temp)
+        words.append(words[i - nk] ^ temp)
+    return words
 
 
-def _mix_columns(state: np.ndarray) -> np.ndarray:
-    cols = state.reshape(-1, 4, 4)  # (n, column, row)
-    a0, a1, a2, a3 = cols[:, :, 0], cols[:, :, 1], cols[:, :, 2], cols[:, :, 3]
-    m2, m3 = _MUL[2], _MUL[3]
-    out = np.empty_like(cols)
-    out[:, :, 0] = m2[a0] ^ m3[a1] ^ a2 ^ a3
-    out[:, :, 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
-    out[:, :, 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
-    out[:, :, 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-    return out.reshape(-1, 16)
+def _sub_word(word: int) -> int:
+    """SubWord: the S-box on each byte of a little-endian column word."""
+    return int.from_bytes(word.to_bytes(4, "little").translate(_SBOX_BYTES), "little")
 
 
-def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
-    cols = state.reshape(-1, 4, 4)
-    a0, a1, a2, a3 = cols[:, :, 0], cols[:, :, 1], cols[:, :, 2], cols[:, :, 3]
-    m9, m11, m13, m14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
-    out = np.empty_like(cols)
-    out[:, :, 0] = m14[a0] ^ m11[a1] ^ m13[a2] ^ m9[a3]
-    out[:, :, 1] = m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3]
-    out[:, :, 2] = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
-    out[:, :, 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
-    return out.reshape(-1, 16)
+def _mix(table: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Look up every byte of an (n, 16) uint8 state in a column table
+    and XOR each column's four parts: (n, 4) ``<u4`` columns."""
+    parts = table.take(state + _ROW_OFFSETS)
+    return np.bitwise_xor.reduce(parts.reshape(-1, 4, 4), axis=2)
+
+
+def _rounds(state: np.ndarray, keys: np.ndarray, tables) -> np.ndarray:
+    """Run every round of one direction over an (n, 16) uint8 state.
+
+    ``keys`` is the (rounds+1, 4) ``<u4`` schedule in the order it is
+    applied; ``tables`` is :data:`_ENCRYPT` or :data:`_DECRYPT`.
+    """
+    order, table, sbox = tables
+    columns = state.view("<u4") ^ keys[0]
+    for key in keys[1:-1]:
+        columns = _mix(table, columns.view(np.uint8).take(order, axis=1)) ^ key
+    shifted = columns.view(np.uint8).take(order, axis=1)
+    return (sbox.take(shifted).view("<u4") ^ keys[-1]).view(np.uint8)
 
 
 class AES:
     """The AES block cipher for a fixed key.
 
     ``encrypt_blocks``/``decrypt_blocks`` operate on any number of
-    16-byte blocks at once (ECB permutation); chaining modes live in
+    16-byte blocks at once (ECB permutation), ``encrypt_state``/
+    ``decrypt_state`` on (n, 16) uint8 arrays; chaining modes live in
     :mod:`repro.crypto.modes`.
     """
 
     def __init__(self, key: bytes):
         if len(key) not in (16, 24, 32):
             raise AesError(f"invalid AES key size {len(key)}")
-        self._round_keys = _expand_key(key)
-        self._rounds = self._round_keys.shape[0] - 1
+        words = np.array(_expand_key(key), dtype="<u4").reshape(-1, 4)
         self.key_size = len(key)
+        self._encrypt_keys = words
+        # Equivalent inverse cipher: the middle round keys, last first,
+        # pass through InvMixColumns.  The decryption tables apply
+        # InvMixColumns after InvSubBytes, so feed them S(key bytes).
+        middle = _mix(_DECRYPT[1], SBOX.take(words[-2:0:-1].view(np.uint8)))
+        self._decrypt_keys = np.concatenate((words[-1:], middle, words[:1]))
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """Encrypt ``len(data)/16`` blocks independently (raw ECB)."""
-        state = self._to_state(data)
-        state ^= self._round_keys[0]
-        for round_index in range(1, self._rounds):
-            state = SBOX[state]
-            state = state[:, _SHIFT_ROWS]
-            state = _mix_columns(state)
-            state ^= self._round_keys[round_index]
-        state = SBOX[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._round_keys[self._rounds]
-        return state.tobytes()
+        return self.encrypt_state(self._to_state(data)).tobytes()
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         """Invert :meth:`encrypt_blocks`."""
-        state = self._to_state(data)
-        state ^= self._round_keys[self._rounds]
-        for round_index in range(self._rounds - 1, 0, -1):
-            state = state[:, _INV_SHIFT_ROWS]
-            state = INV_SBOX[state]
-            state ^= self._round_keys[round_index]
-            state = _inv_mix_columns(state)
-        state = state[:, _INV_SHIFT_ROWS]
-        state = INV_SBOX[state]
-        state ^= self._round_keys[0]
-        return state.tobytes()
+        return self.decrypt_state(self._to_state(data)).tobytes()
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 16-byte block."""
@@ -179,20 +198,16 @@ class AES:
         return self.decrypt_blocks(block)
 
     def encrypt_state(self, state: np.ndarray) -> np.ndarray:
-        """Encrypt an (n, 16) uint8 array in place-friendly numpy form."""
-        state = state ^ self._round_keys[0]
-        for round_index in range(1, self._rounds):
-            state = SBOX[state]
-            state = state[:, _SHIFT_ROWS]
-            state = _mix_columns(state)
-            state ^= self._round_keys[round_index]
-        state = SBOX[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._round_keys[self._rounds]
-        return state
+        """Encrypt an (n, 16) uint8 array with contiguous rows; returns a
+        new array."""
+        return _rounds(state, self._encrypt_keys, _ENCRYPT)
+
+    def decrypt_state(self, state: np.ndarray) -> np.ndarray:
+        """Invert :meth:`encrypt_state`."""
+        return _rounds(state, self._decrypt_keys, _DECRYPT)
 
     @staticmethod
     def _to_state(data: bytes) -> np.ndarray:
         if len(data) % 16:
             raise AesError("data length must be a multiple of 16")
-        return np.frombuffer(data, dtype=np.uint8).reshape(-1, 16).copy()
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, 16)

@@ -4,9 +4,11 @@
 (the exact cipher spec the paper configures in section 6.3.1): each
 sector's tweak is the little-endian sector number encrypted under the
 second key, advancing by multiplication with alpha in GF(2^128) per
-16-byte block.  Tweak chains are vectorised across sectors, so the cost
-of encrypting a volume is a fixed number of numpy passes regardless of
-volume size.
+16-byte block.  The tweak chain is built by doubling (the k tweaks
+already known, times alpha^k) across every sector at once, so a request
+of any size costs two AES passes (sector numbers, then data) plus
+O(log blocks-per-sector) numpy passes for the tweaks, and stays on
+arrays end to end.
 
 ``AeadCipher`` is an encrypt-then-MAC AEAD (AES-CTR + HMAC-SHA-256) used
 for sealed storage payloads and TLS records.
@@ -21,7 +23,22 @@ import numpy as np
 
 from .aes import AES, AesError
 
-_XTS_POLY = 0x87  # x^128 + x^7 + x^2 + x + 1 feedback byte
+
+def _times_x_power(lo: np.ndarray, hi: np.ndarray, power: int):
+    """Multiply GF(2^128) elements, given as little-endian 64-bit limbs,
+    by x^power (XTS's alpha^power).
+
+    Shifts in steps of at most 32 bits, so the bits carried out of the
+    top, reduced by x^128 = x^7 + x^2 + x + 1 (feedback byte 0x87),
+    land in the low limb without overflowing it.
+    """
+    while power:
+        shift = min(power, 32)
+        carry = hi >> (64 - shift)
+        hi = (hi << shift) | (lo >> (64 - shift))
+        lo = (lo << shift) ^ carry ^ (carry << 1) ^ (carry << 2) ^ (carry << 7)
+        power -= shift
+    return lo, hi
 
 
 class XtsCipher:
@@ -52,27 +69,22 @@ class XtsCipher:
 
     def _tweaks(self, first_sector: int, num_sectors: int) -> np.ndarray:
         """Return (num_sectors * blocks_per_sector, 16) tweak array."""
-        sectors = np.arange(first_sector, first_sector + num_sectors, dtype=np.uint64)
-        seed = np.zeros((num_sectors, 16), dtype=np.uint8)
-        seed[:, :8] = sectors.astype("<u8").view(np.uint8).reshape(num_sectors, 8)
-        initial = self._tweak_cipher.encrypt_state(seed)
-        # Interpret each tweak as two little-endian 64-bit limbs and walk
-        # the alpha-multiplication chain once per block position, for all
-        # sectors simultaneously.
-        limbs = np.ascontiguousarray(initial).view("<u8").reshape(num_sectors, 2)
-        lo = limbs[:, 0].copy()
-        hi = limbs[:, 1].copy()
+        seed = np.zeros((num_sectors, 2), dtype="<u8")
+        seed[:, 0] = np.arange(first_sector, first_sector + num_sectors, dtype=np.uint64)
         bps = self._blocks_per_sector
-        out = np.empty((num_sectors, bps, 2), dtype="<u8")
-        out[:, 0, 0] = lo
-        out[:, 0, 1] = hi
-        for block_index in range(1, bps):
-            carry = hi >> np.uint64(63)
-            hi = (hi << np.uint64(1)) | (lo >> np.uint64(63))
-            lo = (lo << np.uint64(1)) ^ (carry * np.uint64(_XTS_POLY))
-            out[:, block_index, 0] = lo
-            out[:, block_index, 1] = hi
-        return out.view(np.uint8).reshape(num_sectors * bps, 16)
+        # Each tweak is two little-endian 64-bit limbs (lo, hi).  Block j
+        # of a sector is tweaked by T * x^j: double the known prefix of
+        # the chain until it covers the sector.
+        chain = np.empty((num_sectors, bps, 2), dtype="<u8")
+        chain[:, 0] = self._tweak_cipher.encrypt_state(seed.view(np.uint8)).view("<u8")
+        known = 1
+        while known < bps:
+            count = min(known, bps - known)
+            lo, hi = _times_x_power(chain[:, :count, 0], chain[:, :count, 1], known)
+            chain[:, known : known + count, 0] = lo
+            chain[:, known : known + count, 1] = hi
+            known += count
+        return chain.view(np.uint8).reshape(num_sectors * bps, 16)
 
     def _check(self, data: bytes, first_sector: int) -> int:
         if first_sector < 0:
@@ -90,11 +102,8 @@ class XtsCipher:
         if num_sectors == 0:
             return b""
         tweaks = self._tweaks(first_sector, num_sectors)
-        state = np.frombuffer(plaintext, dtype=np.uint8).reshape(-1, 16)
-        state = state ^ tweaks
-        state = self._data_cipher.encrypt_state(state)
-        state ^= tweaks
-        return state.tobytes()
+        state = np.frombuffer(plaintext, dtype=np.uint8).reshape(-1, 16) ^ tweaks
+        return (self._data_cipher.encrypt_state(state) ^ tweaks).tobytes()
 
     def decrypt(self, ciphertext: bytes, first_sector: int = 0) -> bytes:
         """Invert :meth:`encrypt` for the same sector range."""
@@ -102,11 +111,8 @@ class XtsCipher:
         if num_sectors == 0:
             return b""
         tweaks = self._tweaks(first_sector, num_sectors)
-        data = (np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, 16) ^ tweaks)
-        plain = np.frombuffer(
-            self._data_cipher.decrypt_blocks(data.tobytes()), dtype=np.uint8
-        ).reshape(-1, 16)
-        return (plain ^ tweaks).tobytes()
+        state = np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, 16) ^ tweaks
+        return (self._data_cipher.decrypt_state(state) ^ tweaks).tobytes()
 
 
 class CtrCipher:

@@ -9,7 +9,7 @@ what end-users verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence
 
 SSH_PORT = 22
 
@@ -22,7 +22,7 @@ class ConnectionRefused(ConnectionError):
 class Firewall:
     """Inbound filtering rules for one host."""
 
-    allowed_inbound_ports: Tuple[int, ...] = (443,)
+    allowed_inbound_ports: Sequence[int] = (443,)
     ssh_enabled: bool = False
     allow_outbound: bool = True
 
@@ -41,8 +41,12 @@ class Firewall:
 
     @classmethod
     def open_firewall(cls) -> "Firewall":
-        """An allow-everything firewall (ordinary, non-Revelio hosts)."""
-        return cls(allowed_inbound_ports=tuple(range(1, 65536)), ssh_enabled=True)
+        """An allow-everything firewall (ordinary, non-Revelio hosts).
+
+        Every valid port as a ``range``: O(1) membership, and nothing
+        materialised per host.
+        """
+        return cls(allowed_inbound_ports=range(1, 65536), ssh_enabled=True)
 
     @classmethod
     def from_network_policy(cls, policy) -> "Firewall":

@@ -41,17 +41,36 @@ class TestXts:
     def rng(self):
         return HmacDrbg(b"xts-tests")
 
+    # 48-byte sectors are three blocks (not a power of two); 4096-byte
+    # sectors, dm-crypt's size here, cross the tweak chain's doubling
+    # steps at 32, 64 and 128 blocks.
+    @pytest.mark.parametrize("first_sector", [7, 2**32 + 5])
+    @pytest.mark.parametrize("sector_size", [48, 512, 4096])
     @pytest.mark.parametrize("key_size", [32, 64])
-    def test_matches_reference(self, rng, key_size):
+    def test_matches_reference(self, rng, key_size, sector_size, first_sector):
         key = rng.generate(key_size)
-        xts = XtsCipher(key, sector_size=512)
-        data = rng.generate(512 * 3)
-        got = xts.encrypt(data, first_sector=7)
+        xts = XtsCipher(key, sector_size=sector_size)
+        data = rng.generate(sector_size * 3)
+        got = xts.encrypt(data, first_sector=first_sector)
         expected = b"".join(
-            _reference_xts_encrypt(key, 7 + i, data[512 * i : 512 * (i + 1)])
+            _reference_xts_encrypt(
+                key, first_sector + i, data[sector_size * i : sector_size * (i + 1)]
+            )
             for i in range(3)
         )
         assert got == expected
+        assert xts.decrypt(got, first_sector=first_sector) == data
+
+    def test_ieee1619_vector_2(self):
+        # IEEE 1619-2007 XTS-AES-128 test vector 2: data unit 0x3333333333,
+        # one 32-byte data unit of 0x44.
+        xts = XtsCipher(b"\x11" * 16 + b"\x22" * 16, sector_size=32)
+        plaintext = b"\x44" * 32
+        ciphertext = bytes.fromhex(
+            "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0"
+        )
+        assert xts.encrypt(plaintext, 0x3333333333) == ciphertext
+        assert xts.decrypt(ciphertext, 0x3333333333) == plaintext
 
     def test_round_trip(self, rng):
         xts = XtsCipher(rng.generate(64))

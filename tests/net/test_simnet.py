@@ -4,7 +4,7 @@ import pytest
 
 from repro.build import NetworkPolicy
 from repro.net.dns import DnsError, DnsRegistry
-from repro.net.firewall import ConnectionRefused, Firewall
+from repro.net.firewall import SSH_PORT, ConnectionRefused, Firewall
 from repro.net.latency import ZERO_LATENCY, LatencyModel, SimClock
 from repro.net.simnet import Network, NetworkError
 
@@ -68,6 +68,15 @@ class TestFirewall:
         assert not firewall.allows_inbound(22)
         enabled = Firewall(allowed_inbound_ports=(443,), ssh_enabled=True)
         assert enabled.allows_inbound(22)
+
+    def test_open_firewall_admits_every_valid_port(self):
+        firewall = Firewall.open_firewall()
+        for port in (1, 443, 8443, 65535, SSH_PORT):
+            assert firewall.allows_inbound(port)
+        for port in (0, 65536):
+            assert not firewall.allows_inbound(port)
+        # A range, not a materialised 65,535-entry tuple per host.
+        assert isinstance(firewall.allowed_inbound_ports, range)
 
     def test_network_enforces_firewall(self):
         net = Network(ZERO_LATENCY)

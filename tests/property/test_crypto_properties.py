@@ -57,11 +57,12 @@ def test_aes_round_trip(block, key_size):
     st.integers(min_value=0, max_value=2**32),
     st.integers(min_value=1, max_value=4),
     st.binary(min_size=8, max_size=8),
+    st.sampled_from([512, 4096]),
 )
-def test_xts_round_trip(first_sector, num_sectors, seed):
+def test_xts_round_trip(first_sector, num_sectors, seed, sector_size):
     rng = HmacDrbg(seed)
-    xts = XtsCipher(rng.generate(64), sector_size=512)
-    data = rng.generate(512 * num_sectors)
+    xts = XtsCipher(rng.generate(64), sector_size=sector_size)
+    data = rng.generate(sector_size * num_sectors)
     assert xts.decrypt(xts.encrypt(data, first_sector), first_sector) == data
 
 
