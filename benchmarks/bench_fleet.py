@@ -390,15 +390,11 @@ def phase_mixed_fleet(args, build) -> dict:
     assert all(v.ok for v in verdicts), [
         (v.ip_address, v.reason) for v in verdicts if not v.ok
     ]
-    family_goldens = {
-        family: policy.golden_measurements
-        for family, policy in fleet.family_policies().items()
-    }
 
     def extension_setup(extension):
         extension.verifier.contexts.update(fleet.contexts())
         extension.register_site(
-            deployment.domain, family_measurements=family_goldens
+            deployment.domain, family_measurements=fleet.goldens
         )
 
     def delayed_revocation():

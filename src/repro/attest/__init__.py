@@ -7,11 +7,12 @@ package makes that one observable pipeline:
 
 * :class:`TeeFamily` / :class:`Evidence` — the TEE vocabulary and the
   tagged envelope the engine dispatches on (SEV-SNP, TDX, CCA, e-vTPM),
-* :class:`VerificationPolicy` — the expectations, declaratively, with
-  per-family :class:`FamilyPolicy` overlays,
+* :class:`VerificationPolicy` — the expectations, declaratively, as
+  one flat value that means the same thing for every family,
 * :class:`AttestationVerifier` — the engine: runs the registered
   :mod:`repro.attest.families` step provider for the evidence's family
-  as an ordered step list,
+  as an ordered step list, with the policy checks shared by every
+  family,
 * :class:`VerificationOutcome` — per-step results with stable reason
   codes and simulated-clock costs,
 * :mod:`repro.attest.trace` — pluggable sinks, ring buffer, counters
@@ -44,7 +45,6 @@ from .families import (
     STEP_ENDORSEMENT_FETCH,
     STEP_EVIDENCE_DECODE,
     STEP_FAMILY_ALLOWED,
-    STEP_FAMILY_TCB_FLOOR,
     STEP_LIFECYCLE,
     STEP_MEASUREMENT,
     STEP_ORDER,
@@ -69,7 +69,7 @@ from .families import (
     registered_families,
 )
 from .farm import FarmJob, VerifyFarm
-from .policy import FamilyPolicy, VerificationPolicy
+from .policy import AMD_FAMILIES, VerificationPolicy, amd_tcb_floors
 from .reasons import ATTEST_REASON_CODES
 from .trace import (
     AttestationTracer,
@@ -88,6 +88,7 @@ from .trace import (
 
 __all__ = [
     "ALL_FAMILIES",
+    "AMD_FAMILIES",
     "ATTEST_REASON_CODES",
     "AttestationTracer",
     "AttestationVerifier",
@@ -95,7 +96,6 @@ __all__ = [
     "CounterRegistry",
     "Evidence",
     "EvidenceError",
-    "FamilyPolicy",
     "FarmCounters",
     "FarmJob",
     "Histogram",
@@ -109,7 +109,6 @@ __all__ = [
     "STEP_ENDORSEMENT_FETCH",
     "STEP_EVIDENCE_DECODE",
     "STEP_FAMILY_ALLOWED",
-    "STEP_FAMILY_TCB_FLOOR",
     "STEP_LIFECYCLE",
     "STEP_MEASUREMENT",
     "STEP_ORDER",
@@ -137,6 +136,7 @@ __all__ = [
     "VerificationPolicy",
     "VerifyFarm",
     "VtpmTrust",
+    "amd_tcb_floors",
     "cca_evidence",
     "family_of",
     "get_tracer",

@@ -29,31 +29,15 @@ from ..crypto import sigcache
 from ..crypto.x509 import Certificate
 from .evidence import Evidence, TeeFamily
 from .families import (
-    STEP_AK_ENDORSEMENT,
     STEP_BATCH_PREPARE,
     STEP_CERT_CHAIN,
-    STEP_CHIP_ID_ALLOWLIST,
-    STEP_CHIP_ID_BINDING,
-    STEP_DEBUG_POLICY,
-    STEP_ENDORSEMENT_FETCH,
     STEP_EVIDENCE_DECODE,
     STEP_FAMILY_ALLOWED,
-    STEP_FAMILY_TCB_FLOOR,
-    STEP_LIFECYCLE,
     STEP_MEASUREMENT,
-    STEP_ORDER,
     STEP_PLATFORM_SIGNATURE,
-    STEP_QUOTE_LOG,
     STEP_QUOTE_SIGNATURE,
-    STEP_RAK_BINDING,
-    STEP_REPORT_DATA,
-    STEP_REVOCATION,
-    STEP_SERVICE_ALLOWLIST,
     STEP_SIGNATURE,
-    STEP_TCB_BINDING,
-    STEP_TCB_FLOOR,
     STEP_TRUST_CONTEXT,
-    STEP_VCEK_FETCH,
     VtpmTrust,
     provider_for,
 )
@@ -262,14 +246,8 @@ class AttestationVerifier:
         else:
             family = TeeFamily.SEV_SNP
             state["native"] = report
-            provider = provider_for(family)
-            step_iter = provider.steps(
-                report,
-                now,
-                policy,
-                policy.for_family(family),
-                self._context_for(family),
-                state,
+            step_iter = provider_for(family).steps(
+                report, now, policy, self._context_for(family), state
             )
 
         failed = False
@@ -338,9 +316,7 @@ class AttestationVerifier:
         and fails, through the normal steps."""
         if isinstance(report, Evidence):
             family = report.family
-            if policy.allowed_families is not None and not policy.family_allowed(
-                family
-            ):
+            if not policy.family_allowed(family):
                 return []
             provider = provider_for(family)
             if provider is None:
@@ -357,9 +333,7 @@ class AttestationVerifier:
         if context is None:
             return []
         try:
-            return provider.signature_jobs(
-                native, now, policy, policy.for_family(family), context, state
-            )
+            return provider.signature_jobs(native, now, policy, context, state)
         except AttestationError:
             return []
 
@@ -467,9 +441,7 @@ class AttestationVerifier:
 
         # state["native"] is populated by the time the engine pulls the
         # first provider step (decode either ran or broke the loop).
-        yield from provider.steps(
-            state["native"], now, policy, policy.for_family(family), context, state
-        )
+        yield from provider.steps(state["native"], now, policy, context, state)
 
     @staticmethod
     def _charge_crypto_step(

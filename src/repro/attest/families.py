@@ -6,17 +6,24 @@ Each supported :class:`~repro.attest.evidence.TeeFamily` registers a
 :mod:`repro.cca.realms`, :mod:`repro.vtpm.vtpm`) into the engine's
 ordered ``(step name, check callable)`` pipeline.  The engine stays
 family-agnostic: it asks the provider to decode the evidence body, then
-runs whatever steps the provider yields, recording each one with the
-same :class:`~repro.attest.engine.StepRecord` machinery.
+runs the steps :meth:`StepProvider.steps` yields, recording each one
+with the same :class:`~repro.attest.engine.StepRecord` machinery.
 
-The step-name constants and the stable reason-code taxonomy live here
-(re-exported by :mod:`repro.attest.engine` for compatibility).  Shared
-checks keep their SNP-era names and codes across families — a TDX MRTD
-not in the golden set fails ``measurement`` with
-``measurement_mismatch``, exactly like an SNP launch digest — so policy
-violations map to the *same* reason code in every family.  Checks with
-no SNP analogue get family-scoped names (``lifecycle``, ``rak_binding``,
-``quote_log``, ...).
+A provider supplies only what differs between families: decoding,
+accessors for the fields the policy checks read (launch measurement,
+REPORT_DATA, platform id, TCB), its authenticity steps (endorsement
+fetch, chain, bindings, signatures) and, for the e-vTPM, runtime steps.
+:meth:`StepProvider.steps` runs the policy checks around them once, for
+every family, in one order::
+
+    revocation -> authenticity steps -> measurement -> report_data
+      -> chip_id_allowlist -> tcb_floor -> runtime steps
+
+so a policy violation fails the same step with the same reason code in
+every family: a TDX MRTD not in the golden set fails ``measurement``
+with ``measurement_mismatch``, exactly like an SNP launch digest.
+Checks with no SNP analogue get family-scoped names (``lifecycle``,
+``rak_binding``, ``quote_log``, ...).
 """
 
 from __future__ import annotations
@@ -29,12 +36,8 @@ from ..amd.report import AttestationReport, ReportError
 from ..amd.verify import (
     AttestationError,
     check_certificate_chain,
-    check_chip_id_allowed,
     check_chip_id_binding,
     check_debug_policy,
-    check_measurement,
-    check_minimum_tcb,
-    check_report_data,
     check_signature,
     check_tcb_binding,
 )
@@ -46,7 +49,7 @@ from ..crypto.x509 import (
     validate_chain,
 )
 from .evidence import TeeFamily
-from .policy import FamilyPolicy, VerificationPolicy
+from .policy import VerificationPolicy
 
 # -- step names ----------------------------------------------------------------
 #
@@ -76,7 +79,6 @@ STEP_TRUST_CONTEXT = "trust_context"
 STEP_BATCH_PREPARE = "batch_prepare"
 
 # Family-specific checks with no SNP analogue.
-STEP_FAMILY_TCB_FLOOR = "family_tcb_floor"
 STEP_ENDORSEMENT_FETCH = "endorsement_fetch"
 STEP_PLATFORM_SIGNATURE = "platform_signature"
 STEP_LIFECYCLE = "lifecycle"
@@ -181,13 +183,30 @@ class VtpmTrust:
             )
 
 
+def _tdx_trust(context) -> TdxTrust:
+    return context if isinstance(context, TdxTrust) else TdxTrust(context)
+
+
+def _cca_trust(context) -> CcaTrust:
+    if isinstance(context, CcaTrust):
+        return context
+    return CcaTrust(context[0], tuple(context[1]))
+
+
+def _vtpm_trust(context) -> VtpmTrust:
+    return context if isinstance(context, VtpmTrust) else VtpmTrust(context)
+
+
 # -- provider protocol and registry --------------------------------------------
 
 
 class StepProvider:
-    """One family's adapter: decode native evidence, yield check steps."""
+    """One family's adapter: decode native evidence, expose the fields
+    the policy checks read, and yield the family's own check steps."""
 
     family: TeeFamily
+    #: Failure detail of a REPORT_DATA mismatch.
+    report_data_detail = "REPORT_DATA does not match expectation"
 
     def decode(self, body: bytes):
         """Parse the envelope body into the family's native evidence;
@@ -202,24 +221,40 @@ class StepProvider:
         """The native evidence's challenge/REPORT_DATA binding."""
         raise NotImplementedError
 
-    def steps(
+    def platform_id(self, native) -> bytes:
+        """The platform identity the chip-id allow-list names (the SNP
+        chip id, the TDX or CCA platform id); the ``chip_id_binding``
+        step binds it to the endorsement certificate."""
+        raise NotImplementedError
+
+    def tcb_at_least(self, native, floor) -> bool:
+        """Does the native evidence's platform TCB meet *floor*, given
+        in the family's native form?"""
+        raise NotImplementedError
+
+    def authenticity_steps(
         self,
         native,
         now: int,
         policy: VerificationPolicy,
-        fam: FamilyPolicy,
         context,
         state: dict,
     ) -> Iterator[Tuple[str, Callable[[], None]]]:
-        """Yield ``(step name, check)`` pairs in verification order."""
+        """Yield the endorsement and signature steps, in order."""
         raise NotImplementedError
+
+    def runtime_steps(
+        self, native, context
+    ) -> Iterator[Tuple[str, Callable[[], None]]]:
+        """Yield the checks of runtime state that follow the policy
+        checks (none by default)."""
+        return iter(())
 
     def signature_jobs(
         self,
         native,
         now: int,
         policy: VerificationPolicy,
-        fam: FamilyPolicy,
         context,
         state: dict,
     ) -> list:
@@ -230,6 +265,74 @@ class StepProvider:
         that cannot prejudge (fetch failure, custom signature formats)
         return ``[]`` and the pipeline runs — and fails — normally."""
         return []
+
+    def steps(
+        self,
+        native,
+        now: int,
+        policy: VerificationPolicy,
+        context,
+        state: dict,
+    ) -> Iterator[Tuple[str, Callable[[], None]]]:
+        """Yield ``(step name, check)`` pairs in verification order: the
+        policy checks, the same for every family, around the family's
+        authenticity and runtime steps."""
+        measurement = bytes(self.measurement(native))
+        revoked = frozenset(policy.revoked_measurements)
+
+        def revocation():
+            if measurement in revoked:
+                raise AttestationError(
+                    "measurement_revoked",
+                    "measurement has been revoked (rollback?)",
+                )
+
+        if revoked:
+            yield STEP_REVOCATION, revocation
+
+        yield from self.authenticity_steps(native, now, policy, context, state)
+
+        golden = policy.effective_golden()
+
+        def measurement_check():
+            if measurement not in golden:
+                raise AttestationError(
+                    "measurement_mismatch",
+                    f"measurement {measurement.hex()[:16]}... is not in the "
+                    f"golden set ({len(golden)} value(s))",
+                )
+
+        if golden is not None:
+            yield STEP_MEASUREMENT, measurement_check
+
+        def report_data():
+            if self.report_data(native) != policy.expected_report_data:
+                raise AttestationError(
+                    "report_data_mismatch", self.report_data_detail
+                )
+
+        if policy.expected_report_data is not None:
+            yield STEP_REPORT_DATA, report_data
+
+        def chip_id_allowlist():
+            if bytes(self.platform_id(native)) not in policy.allowed_chip_ids:
+                raise AttestationError(
+                    "chip_id_not_allowed", "platform is not on the approved list"
+                )
+
+        if policy.allowed_chip_ids is not None:
+            yield STEP_CHIP_ID_ALLOWLIST, chip_id_allowlist
+
+        def tcb_floor():
+            if not self.tcb_at_least(native, policy.minimum_tcb):
+                raise AttestationError(
+                    "tcb_too_old", "platform TCB below the required minimum"
+                )
+
+        if policy.minimum_tcb is not None:
+            yield STEP_TCB_FLOOR, tcb_floor
+
+        yield from self.runtime_steps(native, context)
 
 
 _PROVIDERS: Dict[TeeFamily, StepProvider] = {}
@@ -256,15 +359,67 @@ def _malformed(exc: Exception) -> AttestationError:
 
 
 # -- SEV-SNP -------------------------------------------------------------------
+#
+# The SNP report checks, shared by the SNP provider and the e-vTPM's
+# AK endorsement (the AK is only as strong as the hardware RoT vouching
+# for it).
+
+
+def _snp_anchors(policy: VerificationPolicy, kds) -> list:
+    if policy.trust_anchors is not None:
+        return list(policy.trust_anchors)
+    return [kds.trust_anchor]
+
+
+def _snp_signature_jobs(report: AttestationReport, policy, kds, state) -> list:
+    try:
+        state["vcek"] = kds.get_vcek(report.chip_id, report.reported_tcb)
+        state["chain"] = kds.cert_chain()
+    except LookupError:
+        return []  # the vcek_fetch step reports unknown_platform
+    jobs = _chain_signature_jobs(
+        [state["vcek"], *state["chain"]], _snp_anchors(policy, kds)
+    )
+    vcek_key = state["vcek"].public_key
+    if vcek_key.algorithm == "ecdsa" and report.signature:
+        jobs.append(
+            (vcek_key.inner, report.signed_bytes(), report.signature, "sha384")
+        )
+    return jobs
+
+
+def _snp_report_steps(report: AttestationReport, now, policy, kds, state):
+    def vcek_fetch():
+        if state["vcek"] is not None and state["chain"] is not None:
+            return  # the verify-farm prepare pass already fetched
+        try:
+            state["vcek"] = kds.get_vcek(report.chip_id, report.reported_tcb)
+            state["chain"] = kds.cert_chain()
+        except LookupError as exc:
+            raise AttestationError(
+                "unknown_platform", f"KDS has no VCEK for this chip: {exc}"
+            ) from exc
+
+    yield STEP_VCEK_FETCH, vcek_fetch
+
+    anchors = _snp_anchors(policy, kds)
+    yield STEP_CERT_CHAIN, lambda: check_certificate_chain(
+        state["vcek"], state["chain"], anchors, now
+    )
+    yield STEP_CHIP_ID_BINDING, lambda: check_chip_id_binding(
+        report, state["vcek"]
+    )
+    yield STEP_TCB_BINDING, lambda: check_tcb_binding(report, state["vcek"])
+    yield STEP_SIGNATURE, lambda: check_signature(report, state["vcek"])
+    yield STEP_DEBUG_POLICY, lambda: check_debug_policy(
+        report, policy.allow_debug
+    )
 
 
 class SnpStepProvider(StepProvider):
     """The original PR-2 pipeline, expressed as a step provider.
 
     *context* is the engine's :class:`~repro.core.kds_client.KdsClient`.
-    The step sequence is byte-identical to the historical SNP-only
-    engine for any policy without family overlays; the only addition is
-    a trailing ``family_tcb_floor`` step when a per-family floor is set.
     """
 
     family = TeeFamily.SEV_SNP
@@ -281,95 +436,17 @@ class SnpStepProvider(StepProvider):
     def report_data(self, native: AttestationReport) -> bytes:
         return native.report_data
 
-    def signature_jobs(self, report, now, policy, fam, kds, state):
-        try:
-            state["vcek"] = kds.get_vcek(report.chip_id, report.reported_tcb)
-            state["chain"] = kds.cert_chain()
-        except LookupError:
-            return []  # the vcek_fetch step reports unknown_platform
-        anchors = (
-            list(fam.trust_anchors)
-            if fam.trust_anchors is not None
-            else [kds.trust_anchor]
-        )
-        jobs = _chain_signature_jobs(
-            [state["vcek"], *state["chain"]], anchors
-        )
-        vcek_key = state["vcek"].public_key
-        if vcek_key.algorithm == "ecdsa" and report.signature:
-            jobs.append(
-                (vcek_key.inner, report.signed_bytes(), report.signature,
-                 "sha384")
-            )
-        return jobs
+    def platform_id(self, native: AttestationReport) -> bytes:
+        return native.chip_id
 
-    def steps(self, report, now, policy, fam, kds, state):
-        revoked = {bytes(m) for m in fam.revoked_measurements}
+    def tcb_at_least(self, native: AttestationReport, floor) -> bool:
+        return native.reported_tcb.at_least(floor)
 
-        def revocation():
-            if bytes(report.measurement) in revoked:
-                raise AttestationError(
-                    "measurement_revoked",
-                    "measurement has been revoked (rollback?)",
-                )
+    def signature_jobs(self, report, now, policy, kds, state):
+        return _snp_signature_jobs(report, policy, kds, state)
 
-        if revoked:
-            yield STEP_REVOCATION, revocation
-
-        def vcek_fetch():
-            if state["vcek"] is not None and state["chain"] is not None:
-                return  # the verify-farm prepare pass already fetched
-            try:
-                state["vcek"] = kds.get_vcek(report.chip_id, report.reported_tcb)
-                state["chain"] = kds.cert_chain()
-            except LookupError as exc:
-                raise AttestationError(
-                    "unknown_platform", f"KDS has no VCEK for this chip: {exc}"
-                ) from exc
-
-        yield STEP_VCEK_FETCH, vcek_fetch
-
-        anchors = (
-            list(fam.trust_anchors)
-            if fam.trust_anchors is not None
-            else [kds.trust_anchor]
-        )
-        yield STEP_CERT_CHAIN, lambda: check_certificate_chain(
-            state["vcek"], state["chain"], anchors, now
-        )
-        yield STEP_CHIP_ID_BINDING, lambda: check_chip_id_binding(
-            report, state["vcek"]
-        )
-        yield STEP_TCB_BINDING, lambda: check_tcb_binding(report, state["vcek"])
-        yield STEP_SIGNATURE, lambda: check_signature(report, state["vcek"])
-        yield STEP_DEBUG_POLICY, lambda: check_debug_policy(
-            report, policy.allow_debug
-        )
-
-        golden = fam.effective_golden()
-        if golden is not None:
-            yield STEP_MEASUREMENT, lambda: check_measurement(report, golden)
-        if policy.expected_report_data is not None:
-            yield STEP_REPORT_DATA, lambda: check_report_data(
-                report, policy.expected_report_data
-            )
-        if policy.allowed_chip_ids is not None:
-            yield STEP_CHIP_ID_ALLOWLIST, lambda: check_chip_id_allowed(
-                report, policy.allowed_chip_ids
-            )
-        if policy.minimum_tcb is not None:
-            yield STEP_TCB_FLOOR, lambda: check_minimum_tcb(
-                report, policy.minimum_tcb
-            )
-
-        def family_tcb_floor():
-            try:
-                check_minimum_tcb(report, fam.minimum_tcb)
-            except AttestationError as exc:
-                raise AttestationError("family_tcb_floor", exc.detail) from exc
-
-        if fam.minimum_tcb is not None:
-            yield STEP_FAMILY_TCB_FLOOR, family_tcb_floor
+    def authenticity_steps(self, report, now, policy, kds, state):
+        return _snp_report_steps(report, now, policy, kds, state)
 
 
 # -- Intel TDX -----------------------------------------------------------------
@@ -397,10 +474,24 @@ class TdxStepProvider(StepProvider):
     def report_data(self, native) -> bytes:
         return native.report_data
 
-    def signature_jobs(self, quote, now, policy, fam, context, state):
+    def platform_id(self, native) -> bytes:
+        return native.platform_id
+
+    def tcb_at_least(self, native, floor) -> bool:
+        return native.tee_tcb_svn >= floor
+
+    @staticmethod
+    def _anchors(policy, trust: TdxTrust):
+        return (
+            policy.trust_anchors
+            or trust.trust_anchors
+            or (trust.pcs.root_certificate,)
+        )
+
+    def signature_jobs(self, quote, now, policy, context, state):
         from ..tdx.module import TdxError
 
-        trust = context if isinstance(context, TdxTrust) else TdxTrust(context)
+        trust = _tdx_trust(context)
         pcs = trust.pcs
         try:
             state["vcek"] = pcs.get_pck_certificate(
@@ -409,11 +500,8 @@ class TdxStepProvider(StepProvider):
             state["chain"] = pcs.cert_chain()
         except (TdxError, LookupError):
             return []  # the endorsement_fetch step reports unknown_platform
-        anchors = (
-            fam.trust_anchors or trust.trust_anchors or (pcs.root_certificate,)
-        )
         jobs = _chain_signature_jobs(
-            [state["vcek"], *state["chain"]], list(anchors)
+            [state["vcek"], *state["chain"]], list(self._anchors(policy, trust))
         )
         if quote.signature:
             jobs.append(
@@ -422,22 +510,11 @@ class TdxStepProvider(StepProvider):
             )
         return jobs
 
-    def steps(self, quote, now, policy, fam, context, state):
+    def authenticity_steps(self, quote, now, policy, context, state):
         from ..tdx.module import TdxError
 
-        trust = context if isinstance(context, TdxTrust) else TdxTrust(context)
+        trust = _tdx_trust(context)
         pcs = trust.pcs
-        revoked = {bytes(m) for m in fam.revoked_measurements}
-
-        def revocation():
-            if bytes(quote.mrtd) in revoked:
-                raise AttestationError(
-                    "measurement_revoked",
-                    "measurement has been revoked (rollback?)",
-                )
-
-        if revoked:
-            yield STEP_REVOCATION, revocation
 
         def endorsement_fetch():
             if state["vcek"] is not None and state["chain"] is not None:
@@ -454,11 +531,7 @@ class TdxStepProvider(StepProvider):
 
         yield STEP_ENDORSEMENT_FETCH, endorsement_fetch
 
-        anchors = (
-            fam.trust_anchors
-            or trust.trust_anchors
-            or (pcs.root_certificate,)
-        )
+        anchors = self._anchors(policy, trust)
 
         def cert_chain():
             try:
@@ -503,39 +576,6 @@ class TdxStepProvider(StepProvider):
 
         yield STEP_SIGNATURE, signature
 
-        golden = fam.effective_golden()
-
-        def measurement():
-            if bytes(quote.mrtd) not in golden:
-                raise AttestationError(
-                    "measurement_mismatch",
-                    f"measurement {quote.mrtd.hex()[:16]}... is not in the "
-                    f"golden set ({len(golden)} value(s))",
-                )
-
-        if golden is not None:
-            yield STEP_MEASUREMENT, measurement
-
-        def report_data():
-            if quote.report_data != policy.expected_report_data:
-                raise AttestationError(
-                    "report_data_mismatch",
-                    "REPORT_DATA does not match expectation",
-                )
-
-        if policy.expected_report_data is not None:
-            yield STEP_REPORT_DATA, report_data
-
-        def family_tcb_floor():
-            if quote.tee_tcb_svn < fam.minimum_tcb:
-                raise AttestationError(
-                    "family_tcb_floor",
-                    "platform TCB below the required minimum",
-                )
-
-        if fam.minimum_tcb is not None:
-            yield STEP_FAMILY_TCB_FLOOR, family_tcb_floor
-
 
 # -- ARM CCA -------------------------------------------------------------------
 
@@ -562,22 +602,24 @@ class CcaStepProvider(StepProvider):
     def report_data(self, native) -> bytes:
         return native.realm_token.challenge
 
-    def signature_jobs(self, token, now, policy, fam, context, state):
+    def platform_id(self, native) -> bytes:
+        return native.platform_token.platform_id
+
+    def tcb_at_least(self, native, floor) -> bool:
+        return native.platform_token.platform_svn >= floor
+
+    def signature_jobs(self, token, now, policy, context, state):
         from ..cca.realms import CcaError
         from ..crypto.ecdsa import EcdsaPublicKey, SignatureError
 
-        trust = (
-            context
-            if isinstance(context, CcaTrust)
-            else CcaTrust(context[0], tuple(context[1]))
-        )
+        trust = _cca_trust(context)
         realm = token.realm_token
         platform = token.platform_token
         try:
             state["vcek"] = trust.cpak_lookup(platform.platform_id)
         except (CcaError, LookupError):
             return []  # the endorsement_fetch step reports unknown_platform
-        anchors = fam.trust_anchors or tuple(trust.trust_anchors)
+        anchors = policy.trust_anchors or tuple(trust.trust_anchors)
         jobs = _chain_signature_jobs([state["vcek"]], list(anchors))
         if platform.signature:
             jobs.append(
@@ -594,28 +636,13 @@ class CcaStepProvider(StepProvider):
             )
         return jobs
 
-    def steps(self, token, now, policy, fam, context, state):
+    def authenticity_steps(self, token, now, policy, context, state):
         from ..cca.realms import CcaError
         from ..crypto.ecdsa import EcdsaPublicKey
 
-        trust = (
-            context
-            if isinstance(context, CcaTrust)
-            else CcaTrust(context[0], tuple(context[1]))
-        )
+        trust = _cca_trust(context)
         realm = token.realm_token
         platform = token.platform_token
-        revoked = {bytes(m) for m in fam.revoked_measurements}
-
-        def revocation():
-            if bytes(realm.rim) in revoked:
-                raise AttestationError(
-                    "measurement_revoked",
-                    "measurement has been revoked (rollback?)",
-                )
-
-        if revoked:
-            yield STEP_REVOCATION, revocation
 
         def endorsement_fetch():
             if state["vcek"] is not None:
@@ -629,7 +656,7 @@ class CcaStepProvider(StepProvider):
 
         yield STEP_ENDORSEMENT_FETCH, endorsement_fetch
 
-        anchors = fam.trust_anchors or tuple(trust.trust_anchors)
+        anchors = policy.trust_anchors or tuple(trust.trust_anchors)
 
         def cert_chain():
             try:
@@ -689,39 +716,6 @@ class CcaStepProvider(StepProvider):
 
         yield STEP_SIGNATURE, signature
 
-        golden = fam.effective_golden()
-
-        def measurement():
-            if bytes(realm.rim) not in golden:
-                raise AttestationError(
-                    "measurement_mismatch",
-                    f"measurement {realm.rim.hex()[:16]}... is not in the "
-                    f"golden set ({len(golden)} value(s))",
-                )
-
-        if golden is not None:
-            yield STEP_MEASUREMENT, measurement
-
-        def report_data():
-            if realm.challenge != policy.expected_report_data:
-                raise AttestationError(
-                    "report_data_mismatch",
-                    "REPORT_DATA does not match expectation",
-                )
-
-        if policy.expected_report_data is not None:
-            yield STEP_REPORT_DATA, report_data
-
-        def family_tcb_floor():
-            if platform.platform_svn < fam.minimum_tcb:
-                raise AttestationError(
-                    "family_tcb_floor",
-                    "platform TCB below the required minimum",
-                )
-
-        if fam.minimum_tcb is not None:
-            yield STEP_FAMILY_TCB_FLOOR, family_tcb_floor
-
 
 # -- SNP-endorsed e-vTPM -------------------------------------------------------
 
@@ -730,15 +724,16 @@ class VtpmStepProvider(StepProvider):
     """e-vTPM monitoring-evidence verification as engine steps.
 
     *context* is a :class:`VtpmTrust`.  The SNP endorsement report is
-    verified with the full SNP sub-pipeline (the AK is only as strong
-    as the hardware RoT vouching for it), then the quote/log half runs:
-    nonce freshness, quote signature, event-log replay, and the runtime
-    allow-list.  ``policy.expected_report_data`` binds the *quote
-    nonce*; the endorsement's own REPORT_DATA binding to the AK is the
-    dedicated ``ak_endorsement`` step.
+    verified with the SNP report steps, then the quote/log half runs
+    after the policy checks: quote signature, event-log replay, and the
+    runtime allow-list.  The policy's measurement, chip-id and TCB
+    expectations apply to the endorsement; ``expected_report_data``
+    binds the *quote nonce*, and the endorsement's own REPORT_DATA
+    binding to the AK is the dedicated ``ak_endorsement`` step.
     """
 
     family = TeeFamily.VTPM
+    report_data_detail = "quote nonce mismatch (replay?)"
 
     def decode(self, body: bytes):
         from ..vtpm.monitoring import MonitoringEvidence
@@ -754,92 +749,30 @@ class VtpmStepProvider(StepProvider):
     def report_data(self, native) -> bytes:
         return native.quote.nonce
 
-    def signature_jobs(self, evidence, now, policy, fam, context, state):
-        trust = context if isinstance(context, VtpmTrust) else VtpmTrust(context)
-        kds = trust.kds
-        endorsement = evidence.ak_endorsement
-        try:
-            state["vcek"] = kds.get_vcek(
-                endorsement.chip_id, endorsement.reported_tcb
-            )
-            state["chain"] = kds.cert_chain()
-        except LookupError:
-            return []  # the vcek_fetch step reports unknown_platform
-        anchors = (
-            list(fam.trust_anchors)
-            if fam.trust_anchors is not None
-            else [kds.trust_anchor]
-        )
-        jobs = _chain_signature_jobs(
-            [state["vcek"], *state["chain"]], anchors
-        )
-        vcek_key = state["vcek"].public_key
-        if vcek_key.algorithm == "ecdsa" and endorsement.signature:
-            jobs.append(
-                (vcek_key.inner, endorsement.signed_bytes(),
-                 endorsement.signature, "sha384")
-            )
+    def platform_id(self, native) -> bytes:
+        return native.ak_endorsement.chip_id
+
+    def tcb_at_least(self, native, floor) -> bool:
+        return native.ak_endorsement.reported_tcb.at_least(floor)
+
+    def signature_jobs(self, evidence, now, policy, context, state):
         # The TPM quote signature (STEP_QUOTE_SIGNATURE) uses the
         # quote's own composite verify and is not batchable here.
-        return jobs
-
-    def steps(self, evidence, now, policy, fam, context, state):
-        from ..vtpm.vtpm import PCR_SERVICES, VtpmError, replay_event_log
-
-        trust = context if isinstance(context, VtpmTrust) else VtpmTrust(context)
-        kds = trust.kds
-        endorsement = evidence.ak_endorsement
-        revoked = {bytes(m) for m in fam.revoked_measurements}
-
-        def revocation():
-            if bytes(endorsement.measurement) in revoked:
-                raise AttestationError(
-                    "measurement_revoked",
-                    "measurement has been revoked (rollback?)",
-                )
-
-        if revoked:
-            yield STEP_REVOCATION, revocation
-
-        def vcek_fetch():
-            if state["vcek"] is not None and state["chain"] is not None:
-                return  # the verify-farm prepare pass already fetched
-            try:
-                state["vcek"] = kds.get_vcek(
-                    endorsement.chip_id, endorsement.reported_tcb
-                )
-                state["chain"] = kds.cert_chain()
-            except LookupError as exc:
-                raise AttestationError(
-                    "unknown_platform", f"KDS has no VCEK for this chip: {exc}"
-                ) from exc
-
-        yield STEP_VCEK_FETCH, vcek_fetch
-
-        anchors = (
-            list(fam.trust_anchors)
-            if fam.trust_anchors is not None
-            else [kds.trust_anchor]
+        return _snp_signature_jobs(
+            evidence.ak_endorsement, policy, _vtpm_trust(context).kds, state
         )
-        yield STEP_CERT_CHAIN, lambda: check_certificate_chain(
-            state["vcek"], state["chain"], anchors, now
-        )
-        yield STEP_CHIP_ID_BINDING, lambda: check_chip_id_binding(
-            endorsement, state["vcek"]
-        )
-        yield STEP_TCB_BINDING, lambda: check_tcb_binding(
-            endorsement, state["vcek"]
-        )
-        yield STEP_SIGNATURE, lambda: check_signature(endorsement, state["vcek"])
-        yield STEP_DEBUG_POLICY, lambda: check_debug_policy(
-            endorsement, policy.allow_debug
+
+    def authenticity_steps(self, evidence, now, policy, context, state):
+        yield from _snp_report_steps(
+            evidence.ak_endorsement, now, policy, _vtpm_trust(context).kds,
+            state,
         )
 
         def ak_endorsement():
             expected = _report_data_for(
                 hashlib.sha256(evidence.ak_public.encode()).digest()
             )
-            if endorsement.report_data != expected:
+            if evidence.ak_endorsement.report_data != expected:
                 raise AttestationError(
                     "ak_not_endorsed",
                     "endorsement REPORT_DATA does not bind this AK",
@@ -847,38 +780,10 @@ class VtpmStepProvider(StepProvider):
 
         yield STEP_AK_ENDORSEMENT, ak_endorsement
 
-        golden = fam.effective_golden()
-        if golden is not None:
-            yield STEP_MEASUREMENT, lambda: check_measurement(
-                endorsement, golden
-            )
+    def runtime_steps(self, evidence, context):
+        from ..vtpm.vtpm import PCR_SERVICES, VtpmError, replay_event_log
 
-        def report_data():
-            if evidence.quote.nonce != policy.expected_report_data:
-                raise AttestationError(
-                    "report_data_mismatch", "quote nonce mismatch (replay?)"
-                )
-
-        if policy.expected_report_data is not None:
-            yield STEP_REPORT_DATA, report_data
-
-        if policy.allowed_chip_ids is not None:
-            yield STEP_CHIP_ID_ALLOWLIST, lambda: check_chip_id_allowed(
-                endorsement, policy.allowed_chip_ids
-            )
-        if policy.minimum_tcb is not None:
-            yield STEP_TCB_FLOOR, lambda: check_minimum_tcb(
-                endorsement, policy.minimum_tcb
-            )
-
-        def family_tcb_floor():
-            try:
-                check_minimum_tcb(endorsement, fam.minimum_tcb)
-            except AttestationError as exc:
-                raise AttestationError("family_tcb_floor", exc.detail) from exc
-
-        if fam.minimum_tcb is not None:
-            yield STEP_FAMILY_TCB_FLOOR, family_tcb_floor
+        trust = _vtpm_trust(context)
 
         def quote_signature():
             if not evidence.quote.verify(evidence.ak_public):

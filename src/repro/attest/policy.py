@@ -10,73 +10,40 @@ captures those expectations as one immutable value that call sites
 construct declaratively instead of threading positional arguments into
 the low-level verifier.
 
-Heterogeneous fleets add a second axis: expectations can differ *per
-TEE family* (an SNP launch digest and a TDX MRTD are never the same
-value).  :class:`FamilyPolicy` carries one family's overlay — golden
-measurements, revocations, a family-native TCB floor, trust anchors —
-and :meth:`VerificationPolicy.for_family` merges it over the global
-single-value fields, so existing SNP-only call sites keep constructing
-the same policies with zero behavior change.
+The value means the same thing for every TEE family.  Its goldens are
+compared against the family's launch measurement (SNP measurement, TDX
+MRTD, CCA RIM, the e-vTPM endorsement's measurement) and its TCB floor
+against the family's native TCB.  A verifier that serves several
+families (the fleet gateway, the web extension) keeps plain
+``family -> value`` maps and builds the policy for the evidence's
+family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..amd.tcb import TcbVersion
 from ..crypto.x509 import Certificate
+from .evidence import TeeFamily
+
+#: Families whose platform TCB is an AMD :class:`~repro.amd.tcb.TcbVersion`
+#: (the e-vTPM's is its SNP endorsement's): an AMD floor covers both.
+AMD_FAMILIES: Tuple[str, ...] = (str(TeeFamily.SEV_SNP), str(TeeFamily.VTPM))
+
+
+def amd_tcb_floors(minimum_tcb) -> Dict[str, object]:
+    """The ``family -> floor`` map for an AMD TCB floor (empty for
+    ``None``)."""
+    if minimum_tcb is None:
+        return {}
+    return {family: minimum_tcb for family in AMD_FAMILIES}
 
 
 def _frozen_bytes(items: Optional[Iterable[bytes]]) -> Optional[Tuple[bytes, ...]]:
     if items is None:
         return None
     return tuple(bytes(item) for item in items)
-
-
-@dataclass(frozen=True)
-class FamilyPolicy:
-    """One TEE family's verification expectations.
-
-    Semantics mirror the global fields of :class:`VerificationPolicy`,
-    but the values are family-native: measurements are that family's
-    launch digests (SNP measurement, TDX MRTD, CCA RIM, the vTPM's
-    endorsement measurement) and ``minimum_tcb`` is a
-    :class:`~repro.amd.tcb.TcbVersion` for SNP/e-vTPM but a plain SVN
-    integer for TDX and CCA.  A floor violation fails with the
-    family-scoped ``family_tcb_floor`` code, distinct from the legacy
-    SNP ``tcb_too_old``.
-    """
-
-    #: Family-native golden measurements; ``None`` falls back to the
-    #: global golden set.
-    golden_measurements: Optional[Tuple[bytes, ...]] = None
-    #: Family-scoped revocations, unioned with the global set.
-    revoked_measurements: Tuple[bytes, ...] = ()
-    #: Family-native TCB floor; ``None`` skips the check.
-    minimum_tcb: Optional[object] = None
-    #: Family trust anchors; ``None`` falls back to global/default ones.
-    trust_anchors: Optional[Tuple[Certificate, ...]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "golden_measurements", _frozen_bytes(self.golden_measurements)
-        )
-        object.__setattr__(
-            self,
-            "revoked_measurements",
-            _frozen_bytes(self.revoked_measurements) or (),
-        )
-        if self.trust_anchors is not None:
-            object.__setattr__(self, "trust_anchors", tuple(self.trust_anchors))
-
-    def effective_golden(self) -> Optional[FrozenSet[bytes]]:
-        """The golden set minus revocations (``None`` if unchecked)."""
-        if self.golden_measurements is None:
-            return None
-        return frozenset(self.golden_measurements) - frozenset(
-            self.revoked_measurements
-        )
 
 
 @dataclass(frozen=True)
@@ -95,24 +62,24 @@ class VerificationPolicy:
     revoked_measurements: Tuple[bytes, ...] = ()
     #: Exact REPORT_DATA binding (64 bytes); ``None`` skips the check.
     expected_report_data: Optional[bytes] = None
-    #: Chip-id allow-list; ``None`` skips the check.
+    #: Platform-id allow-list (SNP chip id, TDX/CCA platform id);
+    #: ``None`` skips the check.
     allowed_chip_ids: Optional[Tuple[bytes, ...]] = None
-    #: Component-wise TCB floor; ``None`` skips the check.
-    minimum_tcb: Optional[TcbVersion] = None
+    #: TCB floor in the evidence family's native form: a
+    #: :class:`~repro.amd.tcb.TcbVersion` (component-wise) for SEV-SNP
+    #: and the e-vTPM, an SVN integer for TDX and CCA; ``None`` skips
+    #: the check.
+    minimum_tcb: Optional[object] = None
     #: Accept debug-enabled guests (never set in production).
     allow_debug: bool = False
-    #: Override the pinned trust anchors (defaults to the KDS client's
-    #: shipped ARK); used by tests to cross-examine hierarchies.
+    #: Override the pinned trust anchors (defaults to the family's
+    #: shipped root); used by tests to cross-examine hierarchies.
     trust_anchors: Optional[Tuple[Certificate, ...]] = None
     #: TEE families acceptable to this verifier ("sev-snp", "tdx",
     #: "arm-cca", "e-vtpm"); ``None`` accepts any family the verifier
     #: has trust material for, non-membership fails ``family_allowed``
     #: with the ``family_not_allowed`` code.
     allowed_families: Optional[Tuple[str, ...]] = None
-    #: Per-family expectation overlays, keyed by family name.  Stored
-    #: as a sorted tuple of (name, :class:`FamilyPolicy`) pairs so the
-    #: policy value stays hashable.
-    families: Optional[Mapping[str, "FamilyPolicy"]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -138,17 +105,6 @@ class VerificationPolicy:
                 "allowed_families",
                 tuple(str(family) for family in self.allowed_families),
             )
-        if self.families is not None:
-            items = (
-                self.families.items()
-                if isinstance(self.families, Mapping)
-                else self.families
-            )
-            object.__setattr__(
-                self,
-                "families",
-                tuple(sorted((str(key), value) for key, value in items)),
-            )
 
     def effective_golden(self) -> Optional[FrozenSet[bytes]]:
         """The golden set minus revocations (``None`` if unchecked)."""
@@ -158,60 +114,8 @@ class VerificationPolicy:
             self.revoked_measurements
         )
 
-    # -- per-family resolution -------------------------------------------------
-
     def family_allowed(self, family) -> bool:
         """Is evidence of *family* admissible under this policy?"""
         if self.allowed_families is None:
             return True
         return str(family) in self.allowed_families
-
-    def family_policy(self, family) -> "FamilyPolicy":
-        """The raw overlay for *family* (an empty one when unset)."""
-        if self.families is not None:
-            wanted = str(family)
-            for key, value in self.families:
-                if key == wanted:
-                    return value
-        return _EMPTY_FAMILY_POLICY
-
-    def for_family(self, family) -> "FamilyPolicy":
-        """The overlay for *family* merged over the global fields.
-
-        Golden measurements and trust anchors fall back to the global
-        values when the overlay leaves them unset; revocations are the
-        union of both sets; the family TCB floor comes from the overlay
-        alone (the global ``minimum_tcb`` is the SNP-native legacy
-        floor and keeps its own ``tcb_floor`` step).  With no overlays
-        configured the result reproduces the global single-value policy
-        exactly.
-        """
-        overlay = self.family_policy(family)
-        golden = (
-            overlay.golden_measurements
-            if overlay.golden_measurements is not None
-            else self.golden_measurements
-        )
-        if overlay.revoked_measurements:
-            revoked = tuple(
-                sorted(
-                    set(self.revoked_measurements)
-                    | set(overlay.revoked_measurements)
-                )
-            )
-        else:
-            revoked = self.revoked_measurements
-        anchors = (
-            overlay.trust_anchors
-            if overlay.trust_anchors is not None
-            else self.trust_anchors
-        )
-        return FamilyPolicy(
-            golden_measurements=golden,
-            revoked_measurements=revoked,
-            minimum_tcb=overlay.minimum_tcb,
-            trust_anchors=anchors,
-        )
-
-
-_EMPTY_FAMILY_POLICY = FamilyPolicy()

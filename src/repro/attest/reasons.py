@@ -2,11 +2,12 @@
 
 Every verification failure the unified pipeline can produce carries one
 of these stable, machine-readable codes (PR-2 introduced the SNP set;
-PR-6 extended it across TEE families).  The set is *closed*: step
-providers must reuse an existing code or add it here, and the campaign
-taxonomy test (`tests/scenarios/test_taxonomy.py`) asserts every code
-is reached by at least one adversary scenario — an unreachable code is
-either dead or untested, and both fail loudly.
+PR-6 extended it across TEE families).  The set is *closed* in both
+directions: `tests/attest/test_reasons.py` asserts that the codes the
+pipeline modules raise are exactly this set, and the campaign taxonomy
+test (`tests/scenarios/test_campaigns.py::TestTaxonomyCompleteness`)
+asserts every code is reached by at least one adversary scenario — an
+unreachable code is either dead or untested, and both fail loudly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ ATTEST_REASON_CODES = frozenset({
     "measurement_revoked",    # measurement revoked after a rollout
     "report_data_mismatch",   # REPORT_DATA / nonce does not bind the key
     "tcb_too_old",            # reported TCB below the policy floor
-    "family_tcb_floor",       # reported TCB below the per-family floor
     # family-specific integrity
     "ak_not_endorsed",        # e-vTPM AK not bound by the SNP endorsement
     "lifecycle_not_secured",  # CCA platform not in the secured lifecycle

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..amd.tcb import TcbVersion
-from ..attest import AttestationVerifier, FamilyPolicy, VerificationPolicy
+from ..attest import (
+    AttestationVerifier,
+    TeeFamily,
+    VerificationPolicy,
+    amd_tcb_floors,
+)
 from ..net.http import HttpError
 from .guest import WELL_KNOWN_ATTESTATION_PATH, decode_attestation_evidence
 from .kds_client import KdsClient
@@ -50,20 +55,16 @@ class SiteRegistration:
     """A domain the user asked the extension to protect."""
 
     domain: str
-    expected_measurements: Set[bytes] = field(default_factory=set)
+    #: TEE family name -> golden measurements.  Evidence of a family
+    #: without an entry is checked against an empty set and fails
+    #: closed.
+    measurements: Dict[str, Set[bytes]] = field(default_factory=dict)
     #: Use the trusted registry for golden values instead of (or in
     #: addition to) the user-supplied ones.
     use_registry: bool = False
-    #: Per-site TCB floor; overrides the extension-wide one.
-    minimum_tcb: Optional[TcbVersion] = None
-    #: Per-TEE-family golden sets for sites served by a heterogeneous
-    #: fleet (family name -> measurements); ``expected_measurements``
-    #: stays the SNP-and-fallback set.
-    family_measurements: Dict[str, Set[bytes]] = field(default_factory=dict)
-    #: Families the user accepts evidence from; None = any family the
-    #: extension can verify (with per-family goldens registered, the
-    #: default closes to exactly those families).
-    allowed_families: Optional[Set[str]] = None
+    #: Per-site TCB floors (family name -> floor in the family's native
+    #: form); each overrides the extension-wide floor of its family.
+    tcb_floors: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -92,9 +93,10 @@ class RevelioExtension:
         self.kds = kds
         self.trusted_registry = trusted_registry
         self.opportunistic_discovery = opportunistic_discovery
-        #: Extension-wide TCB floor enforced on every attested site
-        #: (per-site registrations can override it).
-        self.minimum_tcb = minimum_tcb
+        #: Extension-wide TCB floors (family name -> floor) enforced on
+        #: every attested site (per-site registrations can override
+        #: them); an AMD *minimum_tcb* covers SEV-SNP and the e-vTPM.
+        self.tcb_floors: Dict[str, object] = amd_tcb_floors(minimum_tcb)
         #: All site attestations run through the unified pipeline;
         #: *tee_contexts* adds trust material for non-SNP families
         #: (TDX PCS, CCA anchors, e-vTPM) — also mutable afterwards via
@@ -143,32 +145,26 @@ class RevelioExtension:
         use_registry: bool = False,
         minimum_tcb: Optional[TcbVersion] = None,
         family_measurements=None,
-        allowed_families=None,
     ) -> None:
         """Manual registration with expected measurement(s); the secure
-        path for security-sensitive sites.  *family_measurements* maps a
-        TEE family name to that family's golden set (heterogeneous
-        fleets); *allowed_families* restricts which families' evidence
-        is acceptable at all."""
+        path for security-sensitive sites.  *expected_measurements* are
+        SEV-SNP goldens; *family_measurements* maps any TEE family name
+        to that family's golden set (heterogeneous fleets).  An AMD
+        *minimum_tcb* floors SEV-SNP and the e-vTPM for this site."""
         domain = domain.lower()
         registration = self._sites.get(domain)
         if registration is None:
             registration = SiteRegistration(domain=domain)
             self._sites[domain] = registration
-        registration.expected_measurements.update(
-            bytes(m) for m in expected_measurements
-        )
+        for family, values in (
+            (TeeFamily.SEV_SNP, expected_measurements),
+            *(family_measurements or {}).items(),
+        ):
+            registration.measurements.setdefault(str(family), set()).update(
+                bytes(m) for m in values
+            )
         registration.use_registry = registration.use_registry or use_registry
-        if minimum_tcb is not None:
-            registration.minimum_tcb = minimum_tcb
-        for family, values in (family_measurements or {}).items():
-            registration.family_measurements.setdefault(
-                str(family), set()
-            ).update(bytes(m) for m in values)
-        if allowed_families is not None:
-            registration.allowed_families = {
-                str(family) for family in allowed_families
-            }
+        registration.tcb_floors.update(amd_tcb_floors(minimum_tcb))
 
     def is_registered(self, domain: str) -> bool:
         """Whether the domain is registered with the extension."""
@@ -229,13 +225,17 @@ class RevelioExtension:
     # -- the attestation procedure -------------------------------------------------
 
     def _attest_site(self, browser, domain: str, registration) -> Verdict:
-        golden = set(registration.expected_measurements)
+        goldens = {
+            family: set(values)
+            for family, values in registration.measurements.items()
+        }
         revoked: Set[bytes] = set()
         if registration.use_registry and self.trusted_registry is not None:
-            golden |= set(self.trusted_registry.golden_measurements(domain))
+            goldens.setdefault(str(TeeFamily.SEV_SNP), set()).update(
+                self.trusted_registry.golden_measurements(domain)
+            )
             revoked = set(self.trusted_registry.revoked_measurements(domain))
-        golden -= revoked
-        if not golden and not registration.family_measurements:
+        if not any(values - revoked for values in goldens.values()):
             return self._violation(
                 domain,
                 "no (unrevoked) golden measurement known",
@@ -275,33 +275,18 @@ class RevelioExtension:
         fingerprint = info.peer_public_key.fingerprint()
 
         # 2. One pipeline run covers revocation, the endorsement chain
-        #    to the family's trust anchor, the signature, the golden
-        #    set, the TLS-key REPORT_DATA binding (the key
-        #    authenticating the very connection we fetched the evidence
-        #    over), and the TCB floor — dispatched on evidence family.
-        families = None
-        if registration.family_measurements:
-            families = {
-                family: FamilyPolicy(golden_measurements=sorted(values))
-                for family, values in sorted(
-                    registration.family_measurements.items()
-                )
-            }
-        allowed = registration.allowed_families
-        if allowed is None and not golden and families is not None:
-            # Per-family goldens only: fail closed to exactly those
-            # families (an SNP report must not slip past an empty
-            # global golden set).
-            allowed = set(families)
+        #    to the family's trust anchor, the signature, the evidence
+        #    family's golden set, the TLS-key REPORT_DATA binding (the
+        #    key authenticating the very connection we fetched the
+        #    evidence over), and the family's TCB floor — dispatched on
+        #    evidence family.
+        family = str(evidence.family)
+        floors = {**self.tcb_floors, **registration.tcb_floors}
         policy = VerificationPolicy(
-            golden_measurements=sorted(golden),
+            golden_measurements=sorted(goldens.get(family, set()) - revoked),
             revoked_measurements=sorted(revoked),
             expected_report_data=report_data_for(fingerprint),
-            minimum_tcb=registration.minimum_tcb or self.minimum_tcb,
-            allowed_families=(
-                None if allowed is None else tuple(sorted(allowed))
-            ),
-            families=families,
+            minimum_tcb=floors.get(family),
         )
         outcome = self.verifier.verify(
             evidence, now=browser.network.clock.epoch_seconds(), policy=policy

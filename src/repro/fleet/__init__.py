@@ -17,7 +17,6 @@ from repro.fleet.faults import (
     blackhole_kds,
     corrupt_disk,
     kill_backend,
-    raise_family_tcb_floor,
     raise_tcb_floor,
     revoke_family,
     slow_disk,
@@ -68,7 +67,6 @@ __all__ = [
     "corrupt_disk",
     "drain_backend",
     "kill_backend",
-    "raise_family_tcb_floor",
     "raise_tcb_floor",
     "revoke_family",
     "rolling_rollout",

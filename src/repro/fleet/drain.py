@@ -19,7 +19,8 @@ Every rollout — :func:`rolling_rollout` behind one gateway, and
    key from a still-serving peer), and re-attested by the gateway
    before it takes traffic again;
 3. :func:`finish_rollout` revokes the old measurement fleet-wide, and
-   keeps every other golden.
+   every golden, of any family, that no backend still runs; it keeps
+   every other golden.
 
 Prerequisite (documented in PROTOCOLS.md): during the transition both
 measurements must be endorsed — old nodes attest new peers during key
@@ -39,6 +40,10 @@ from ..core.rollout import RolloutError, rejoin_node, update_golden_set
 from ..core.trusted_registry import StaticRegistry
 from ..sim.kernel import sleep
 from .gateway import FleetGateway
+
+#: The family of the deployment's own nodes (SNP guests): its build
+#: measurements are golden under this family on every gateway.
+_DEPLOYMENT_FAMILY = str(TeeFamily.SEV_SNP)
 
 
 @dataclass
@@ -115,10 +120,16 @@ def begin_rollout(deployment, gateways: List[FleetGateway], new_build,
     if new_measurement not in deployment.sp.expected_measurements:
         deployment.sp.expected_measurements.append(new_measurement)
     for gateway in gateways:
-        gateway.golden_measurements = sorted(
-            {*gateway.golden_measurements, new_measurement}
-        )
+        _add_golden(gateway, new_measurement)
     return registry
+
+
+def _add_golden(gateway: FleetGateway, measurement: bytes) -> None:
+    """Make a deployment build's *measurement* golden on *gateway*."""
+    goldens = gateway.golden_measurements
+    goldens[_DEPLOYMENT_FAMILY] = sorted(
+        {*goldens.get(_DEPLOYMENT_FAMILY, ()), measurement}
+    )
 
 
 def finish_rollout(deployment, gateways: List[FleetGateway], new_build,
@@ -128,7 +139,7 @@ def finish_rollout(deployment, gateways: List[FleetGateway], new_build,
 
     The deployment's old measurement is revoked at the SP and on every
     gateway.  With a *fleet*, each of its goldens that no backend still
-    runs is retired; a retired SNP golden is revoked too.  Every other
+    runs, whatever its family, is retired and revoked too.  Every other
     golden stays."""
     old_measurement = bytes(deployment.build.expected_measurement)
     new_measurement = bytes(new_build.expected_measurement)
@@ -140,12 +151,13 @@ def finish_rollout(deployment, gateways: List[FleetGateway], new_build,
         for family, goldens in sorted(fleet.goldens.items()):
             for golden in goldens - live:
                 fleet.retire_measurement(family, golden)
-                if family == str(TeeFamily.SEV_SNP):
-                    revoked.add(golden)
+                revoked.add(golden)
     for gateway in gateways:
-        gateway.golden_measurements = sorted(
-            (set(gateway.golden_measurements) - revoked) | {new_measurement}
-        )
+        gateway.golden_measurements = {
+            family: sorted(set(goldens) - revoked)
+            for family, goldens in gateway.golden_measurements.items()
+        }
+        _add_golden(gateway, new_measurement)
         gateway.revoked_measurements = sorted(
             {*gateway.revoked_measurements, *revoked}
         )

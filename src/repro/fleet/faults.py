@@ -10,14 +10,12 @@ reason code or a typed storage error:
   re-attestation; the gateway cannot confirm verdict freshness and
   evicts with ``kds_unreachable``.
 * :func:`raise_tcb_floor` — the platform operator mandates a newer TCB
-  than a backend reports (stale firmware); the next re-attestation
-  fails with the pipeline's ``tcb_too_old``.
+  than a family's backends report (stale firmware; by default the AMD
+  families, SEV-SNP and the e-vTPM); their next re-attestation fails
+  with the pipeline's ``tcb_too_old``.
 * :func:`revoke_family` — an architectural break is disclosed for one
   TEE family in a mixed fleet; its active backends are evicted at once
   and its re-attestations fail with ``family_not_allowed``.
-* :func:`raise_family_tcb_floor` — one family's platform firmware is
-  mandated newer; its backends fail re-attestation with the
-  family-scoped ``family_tcb_floor``.
 * :func:`slow_disk` — a degrading physical device: a ``delay`` target
   is spliced over a VM volume, charging per-block latency to the sim
   clock (the gateway sees the slow backend through its tail latency).
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..attest import AttestationVerifier
+from ..attest import AMD_FAMILIES, AttestationVerifier
 from ..net.simnet import NetworkError
 from ..storage.dm import DelayTarget
 from ..storage.partition import PartitionTable
@@ -179,17 +177,28 @@ def blackhole_kds(gateway: FleetGateway,
     return blackhole
 
 
-def raise_tcb_floor(gateway: FleetGateway, minimum_tcb) -> FaultHandle:
-    """Mandate a TCB floor for admission; backends reporting an older
+def raise_tcb_floor(gateway: FleetGateway, minimum_tcb,
+                    families=AMD_FAMILIES) -> FaultHandle:
+    """Mandate a TCB floor, in the families' native form, for admission
+    of every family in *families*; their backends reporting an older
     TCB fail their next re-attestation with ``tcb_too_old``.
-    ``revert()`` restores the previous floor."""
-    previous = gateway.minimum_tcb
-    gateway.minimum_tcb = minimum_tcb
+    ``revert()`` restores each family's previous floor (or removes
+    it)."""
+    families = tuple(str(family) for family in families)
+    previous = {
+        family: gateway.tcb_floors.get(family, _MISSING) for family in families
+    }
+    for family in families:
+        gateway.tcb_floors[family] = minimum_tcb
 
     def restore():
-        gateway.minimum_tcb = previous
+        for family, floor in previous.items():
+            if floor is _MISSING:
+                gateway.tcb_floors.pop(family, None)
+            else:
+                gateway.tcb_floors[family] = floor
 
-    return FaultHandle("raise_tcb_floor", restore)
+    return FaultHandle(f"raise_tcb_floor:{','.join(families)}", restore)
 
 
 def revoke_family(gateway: FleetGateway, family,
@@ -211,25 +220,6 @@ def revoke_family(gateway: FleetGateway, family,
             gateway.revoked_families.discard(family)
 
     return FaultHandle(f"revoke_family:{family}", restore)
-
-
-def raise_family_tcb_floor(gateway: FleetGateway, family,
-                           minimum_tcb) -> FaultHandle:
-    """Mandate a per-family platform TCB floor; backends of *family*
-    reporting an older platform TCB fail their next re-attestation with
-    the family-scoped ``family_tcb_floor``.  ``revert()`` lowers the
-    floor back to its previous value (or removes it)."""
-    family = str(family)
-    previous = gateway.family_tcb_floors.get(family, _MISSING)
-    gateway.set_family_tcb_floor(family, minimum_tcb)
-
-    def restore():
-        if previous is _MISSING:
-            gateway.family_tcb_floors.pop(family, None)
-        else:
-            gateway.family_tcb_floors[family] = previous
-
-    return FaultHandle(f"raise_family_tcb_floor:{family}", restore)
 
 
 def slow_disk(vm, role: str, read_ms: float = 0.0,

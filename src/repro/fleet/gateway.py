@@ -19,27 +19,30 @@ severed, and clients transparently re-handshake onto a healthy peer
 (the fleet key is shared, so their pinned key stays valid).
 
 The fleet may be **heterogeneous**: every backend is registered with
-its TEE family (SEV-SNP, TDX, CCA, e-vTPM), probes run through the
-family-dispatched pipeline against per-family
-:class:`~repro.attest.FamilyPolicy` overlays, and sessions are
-**tier-routed** — the cleartext ``tier`` tag in the client hello picks
-which families may serve the session (``tier_families``; e.g.
-high-sensitivity sessions only land on SNP or SNP-endorsed e-vTPM
-backends, bulk sessions on any passing family).  Fleet-wide family
-revocation (:meth:`FleetGateway.revoke_family`) and per-family TCB
-floors (:meth:`FleetGateway.set_family_tcb_floor`) evict with the
-family-scoped codes ``family_not_allowed`` / ``family_tcb_floor``.
+its TEE family (SEV-SNP, TDX, CCA, e-vTPM), and each probe runs the
+family-dispatched pipeline under one flat
+:class:`~repro.attest.VerificationPolicy` built for the evidence's
+family from plain ``family -> value`` maps: that family's goldens
+(``golden_measurements``; a family without an entry is checked against
+an empty set and fails closed) and TCB floor (``tcb_floors``), plus the
+revocations every family shares.  Sessions are **tier-routed** — the
+cleartext ``tier`` tag in the client hello picks which families may
+serve the session (``tier_families``; e.g. high-sensitivity sessions
+only land on SNP or SNP-endorsed e-vTPM backends, bulk sessions on any
+passing family).  Fleet-wide family revocation
+(:meth:`FleetGateway.revoke_family`) evicts with ``family_not_allowed``;
+a raised TCB floor fails the family's next re-attestation with
+``tcb_too_old``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..attest import (
     ALL_FAMILIES,
     AttestationVerifier,
-    FamilyPolicy,
     TeeFamily,
     VerificationPolicy,
 )
@@ -146,16 +149,12 @@ class FleetGateway:
         kds,
         trust_anchors,
         golden_measurements,
-        revoked_measurements=(),
-        minimum_tcb=None,
         rng=None,
         balancer: str = "round_robin",
         verdict_ttl: float = 300.0,
         max_retries: int = 3,
         kernel=None,
         name: str = "fleet-gateway",
-        family_policies=None,
-        allowed_families=None,
         tier_families=None,
         default_tier: str = "bulk",
         contexts=None,
@@ -168,31 +167,26 @@ class FleetGateway:
         self.domain = domain
         self.kds = kds
         self.trust_anchors = list(trust_anchors)
-        self.golden_measurements = sorted(bytes(m) for m in golden_measurements)
-        self.revoked_measurements = sorted(bytes(m) for m in revoked_measurements)
-        self.minimum_tcb = minimum_tcb
+        #: family -> golden measurements (sorted); a family without an
+        #: entry is checked against an empty set and fails closed.
+        self.golden_measurements: Dict[str, List[bytes]] = {
+            str(family): sorted(bytes(m) for m in values)
+            for family, values in golden_measurements.items()
+        }
+        #: Revoked measurements (sorted), refused in every family.
+        self.revoked_measurements: List[bytes] = []
+        #: family -> TCB floor in the family's native form (an AMD
+        #: ``TcbVersion`` for SEV-SNP and the e-vTPM, an SVN for TDX
+        #: and CCA).
+        self.tcb_floors: Dict[str, object] = {}
         self._rng = rng
         self.balancer = balancer
         self.verdict_ttl = verdict_ttl
         self.max_retries = max_retries
         self.kernel = kernel
-        #: Per-family :class:`FamilyPolicy` overlays (goldens, anchors,
-        #: family TCB floors) merged into every admission policy.
-        self.family_policies: Dict[str, FamilyPolicy] = {
-            str(family): overlay
-            for family, overlay in (family_policies or {}).items()
-        }
-        #: ``None`` = any registered family; otherwise the admissible set.
-        self.allowed_families = (
-            None
-            if allowed_families is None
-            else {str(family) for family in allowed_families}
-        )
-        #: Families revoked fleet-wide (subtracted from the admissible
-        #: set; re-attestation of their backends fails closed).
+        #: Families revoked fleet-wide (re-attestation of their
+        #: backends fails closed with ``family_not_allowed``).
         self.revoked_families: set = set()
-        #: Per-family TCB floors overlaid onto admission policies.
-        self.family_tcb_floors: Dict[str, object] = {}
         if tier_families is None:
             tier_families = {
                 "high": (str(TeeFamily.SEV_SNP), str(TeeFamily.VTPM)),
@@ -252,7 +246,9 @@ class FleetGateway:
             domain=deployment.domain,
             kds=deployment._new_kds_client(),
             trust_anchors=[deployment.web_pki.trust_anchor],
-            golden_measurements=[deployment.build.expected_measurement],
+            golden_measurements={
+                str(TeeFamily.SEV_SNP): [deployment.build.expected_measurement]
+            },
             rng=deployment.rng.fork(b"fleet-gateway"),
             kernel=kernel,
             **kwargs,
@@ -289,33 +285,23 @@ class FleetGateway:
         self._backends[ip_address] = backend
         return backend
 
-    def _admission_policy(self, connection) -> VerificationPolicy:
-        """The policy for one probe: the global (SNP-legacy) fields plus
-        the per-family overlays, family TCB floors, and the admissible
-        family set after fleet-wide revocations."""
-        families = dict(self.family_policies)
-        for family, floor in self.family_tcb_floors.items():
-            base = families.get(family, FamilyPolicy())
-            families[family] = dataclass_replace(base, minimum_tcb=floor)
-        allowed = self.allowed_families
+    def _admission_policy(self, connection, family: str) -> VerificationPolicy:
+        """The policy for one probe of *family* evidence: that family's
+        goldens and TCB floor, the shared revocations, and the
+        admissible family set after fleet-wide family revocations."""
+        allowed = None
         if self.revoked_families:
-            base_allowed = (
-                allowed
-                if allowed is not None
-                else {str(family) for family in ALL_FAMILIES}
-            )
-            allowed = base_allowed - self.revoked_families
+            allowed = tuple(sorted(
+                {str(each) for each in ALL_FAMILIES} - self.revoked_families
+            ))
         return VerificationPolicy(
-            golden_measurements=tuple(self.golden_measurements),
+            golden_measurements=tuple(self.golden_measurements.get(family, ())),
             revoked_measurements=tuple(self.revoked_measurements),
             expected_report_data=report_data_for(
                 connection.peer_public_key.fingerprint()
             ),
-            minimum_tcb=self.minimum_tcb,
-            allowed_families=(
-                None if allowed is None else tuple(sorted(allowed))
-            ),
-            families=families or None,
+            minimum_tcb=self.tcb_floors.get(family),
+            allowed_families=allowed,
         )
 
     def _probe_evidence(self, ip_address: str):
@@ -356,7 +342,7 @@ class FleetGateway:
                 f"backend registered as {backend.family}, "
                 f"evidence is {evidence.family}",
             )
-        return evidence, self._admission_policy(connection)
+        return evidence, self._admission_policy(connection, str(evidence.family))
 
     def attest_backend(self, ip_address: str) -> AdmissionVerdict:
         """Probe one backend through the full end-user flow: fresh TLS
@@ -490,8 +476,7 @@ class FleetGateway:
 
         * the backend is registered here under the same family,
         * its age is within ``min(verdict_ttl, max_staleness)``,
-        * the family is admissible under *this* gateway's policy
-          (not revoked, inside ``allowed_families``), and
+        * the family is not revoked on *this* gateway, and
         * it is newer than the verdict this gateway already holds.
 
         Passing records admit pending backends (one re-attestation
@@ -509,10 +494,7 @@ class FleetGateway:
         if age < 0 or age > min(self.verdict_ttl, max_staleness):
             self._count("gossip.rejected.stale")
             return False
-        if record.family in self.revoked_families or (
-            self.allowed_families is not None
-            and record.family not in self.allowed_families
-        ):
+        if record.family in self.revoked_families:
             self._count("gossip.rejected.family_not_allowed")
             return False
         if (
@@ -569,12 +551,6 @@ class FleetGateway:
                 self.evict(
                     ip_address, reason, f"family {family} revoked fleet-wide"
                 )
-
-    def set_family_tcb_floor(self, family, minimum_tcb) -> None:
-        """Mandate a per-family TCB floor; backends of *family* whose
-        platform TCB is older fail their next re-attestation with the
-        family-scoped ``family_tcb_floor`` code."""
-        self.family_tcb_floors[str(family)] = minimum_tcb
 
     def mark_draining(self, ip_address: str) -> None:
         """No new sessions; existing sessions keep being served."""

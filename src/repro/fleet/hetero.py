@@ -17,9 +17,9 @@ SNP-endorsed e-vTPM backends *next to* an existing SNP deployment:
   for :meth:`HeterogeneousFleet.add_backend` and for
   :meth:`HeterogeneousFleet.relaunch` (a signed update's new image);
 * the fleet keeps one golden map (family → measurements), and
-  :meth:`HeterogeneousFleet.sync_gateway` pushes it to a gateway with
-  the per-family trust contexts (Intel PCS, ARM anchors, the e-vTPM KDS
-  client).
+  :meth:`HeterogeneousFleet.sync_gateway` joins it to a gateway's map,
+  the same way for every family, with the per-family trust contexts
+  (Intel PCS, ARM anchors, the e-vTPM KDS client).
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..amd.policy import GuestPolicy
-from ..attest import (
-    CcaTrust,
-    Evidence,
-    FamilyPolicy,
-    TdxTrust,
-    TeeFamily,
-    VtpmTrust,
-)
+from ..attest import CcaTrust, Evidence, TdxTrust, TeeFamily, VtpmTrust
 from ..cca.realms import ArmInfrastructure
 from ..core.deployment import MINIMAL_PAGE
 from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
@@ -47,8 +40,6 @@ from ..tdx.module import IntelInfrastructure, ProvisioningCertificationService
 from ..vtpm.monitoring import MonitoringEvidence
 from ..vtpm.vtpm import PCR_SERVICES, Vtpm
 from .gateway import FleetGateway
-
-_SNP = str(TeeFamily.SEV_SNP)
 
 
 @dataclass
@@ -110,7 +101,7 @@ def _launch_vtpm(fleet, ip_address, serial, state):
 #: A launcher starts one workload on a fresh chip or platform and returns
 #: (evidence body bound to the shared TLS key, launch measurement).
 _LAUNCHERS = {
-    _SNP: ("snp", b"snp", _launch_snp),
+    str(TeeFamily.SEV_SNP): ("snp", b"snp", _launch_snp),
     str(TeeFamily.TDX): ("tdx", b"td", _launch_tdx),
     str(TeeFamily.CCA): ("cca", b"realm", _launch_cca),
     str(TeeFamily.VTPM): ("vtpm", b"vtpm-vm", _launch_vtpm),
@@ -264,26 +255,17 @@ class HeterogeneousFleet:
             str(TeeFamily.VTPM): VtpmTrust(self.kds),
         }
 
-    def family_policies(self) -> Dict[str, FamilyPolicy]:
-        """Golden overlays for every non-SNP family this fleet launched
-        (SNP goldens ride the gateway's global set; see
-        :meth:`sync_gateway`)."""
-        return {
-            family: FamilyPolicy(golden_measurements=sorted(goldens))
-            for family, goldens in sorted(self.goldens.items())
-            if family != _SNP
-        }
-
     def sync_gateway(self, gateway: FleetGateway) -> None:
         """Teach *gateway* this fleet's trust: the per-family contexts,
-        the non-SNP golden overlays, and the SNP goldens merged into
-        its global set (next to the deployment build's, so a family
-        overlay never shadows the deployment's own nodes)."""
+        and each family's goldens added to the gateway's (next to the
+        deployment build's, so the fleet never shadows the deployment's
+        own nodes).  A golden leaves the gateway only when a rollout's
+        finish revokes it."""
         gateway.verifier.contexts.update(self.contexts())
-        gateway.family_policies.update(self.family_policies())
-        gateway.golden_measurements = sorted(
-            {*gateway.golden_measurements, *self.goldens.get(_SNP, ())}
-        )
+        for family, goldens in sorted(self.goldens.items()):
+            gateway.golden_measurements[family] = sorted(
+                {*gateway.golden_measurements.get(family, ()), *goldens}
+            )
 
     def attach_gateway(self, gateway: FleetGateway) -> List:
         """Sync *gateway*, register every backend under its family, and

@@ -114,7 +114,7 @@ class ConsistentHashRing:
 #: assert each is reached by at least one abuse scenario.
 GOSSIP_REJECT_REASONS = frozenset({
     "family_mismatch",       # record's family != local registration
-    "family_not_allowed",    # family revoked / outside the admissible set
+    "family_not_allowed",    # family revoked on the receiving gateway
     "older",                 # not newer than the verdict already held
     "stale",                 # aged past min(verdict_ttl, max_staleness)
     "unknown_backend",       # backend not registered on this shard
@@ -276,7 +276,10 @@ class GatewayMesh:
                 domain=deployment.domain,
                 kds=deployment._new_kds_client(),
                 trust_anchors=[deployment.web_pki.trust_anchor],
-                golden_measurements=[deployment.build.expected_measurement],
+                golden_measurements={
+                    str(TeeFamily.SEV_SNP):
+                        [deployment.build.expected_measurement]
+                },
                 rng=deployment.rng.fork(b"mesh-gateway:" + name.encode()),
                 kernel=kernel,
                 name=name,

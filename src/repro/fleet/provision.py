@@ -30,8 +30,8 @@ discover → build → deliver → apply → re-attest → admit
   zero-unattested-requests property rather than the provisioner
   promising it.
 
-Old measurements are revoked (globally and per family) only after the
-whole fleet has moved, so a region mid-rollout keeps serving from
+Old measurements, of every family, are revoked only after the whole
+fleet has moved, so a region mid-rollout keeps serving from
 still-golden bases — DESIGN.md invariant 17's "reachable from golden
 via signed-manifest epochs", operationally.
 """

@@ -1,8 +1,9 @@
 """The built-in campaign catalog.
 
 Three campaigns together sweep the entire stable reason-code taxonomy
-(the matrix test in ``tests/scenarios/test_taxonomy.py`` fails loudly
-if any code in the attest, gateway, or gossip namespaces is missed):
+(``tests/scenarios/test_campaigns.py::TestTaxonomyCompleteness`` fails
+loudly if any code in the attest, gateway, or gossip namespaces is
+missed):
 
 * ``storm-core`` — every attack that makes sense against a *live*
   fleet, fired mid-storm: hypervisor kills, KDS blackholes and
@@ -57,10 +58,9 @@ def _storm_scenarios() -> Tuple[ScenarioSpec, ...]:
             title="fleet TCB floor above a rolled-back platform",
         ),
         scenario(
-            "family-floor", "policy", "family_floor",
-            "attest:family_tcb_floor",
-            params={"family": "sev-snp", "floor": [255, 255, 255, 255]},
-            benign={"family": "sev-snp", "floor": [0, 0, 0, 0]},
+            "family-floor", "policy", "tcb_rollback", "attest:tcb_too_old",
+            params={"families": ["sev-snp"], "floor": [255, 255, 255, 255]},
+            benign={"families": ["sev-snp"], "floor": [0, 0, 0, 0]},
             trigger_at=12.0,
             title="per-family TCB floor above the family's platforms",
         ),
@@ -168,6 +168,8 @@ def _storm_scenarios() -> Tuple[ScenarioSpec, ...]:
 
 
 def _pipeline_scenarios() -> Tuple[ScenarioSpec, ...]:
+    # (scenario name, expected attest code, benign mode); the attack
+    # mode is the name in snake case.
     tail = [
         ("evidence-malformed", "evidence_malformed", "honest_snp"),
         ("family-not-allowed", "family_not_allowed", "honest_snp"),
@@ -179,7 +181,7 @@ def _pipeline_scenarios() -> Tuple[ScenarioSpec, ...]:
         ("tcb-mismatch", "tcb_mismatch", "honest_snp"),
         ("tcb-too-old", "tcb_too_old", "honest_snp"),
         ("debug-policy", "debug_policy", "honest_snp"),
-        ("family-tcb-floor", "family_tcb_floor", "honest_tdx"),
+        ("tdx-tcb-floor", "tcb_too_old", "honest_tdx"),
         ("ak-not-endorsed", "ak_not_endorsed", "honest_vtpm"),
         ("quote-log-mismatch", "quote_log_mismatch", "honest_vtpm"),
         ("service-not-allowed", "service_not_allowed", "honest_vtpm"),
@@ -188,12 +190,12 @@ def _pipeline_scenarios() -> Tuple[ScenarioSpec, ...]:
     ]
     return tuple(
         scenario(
-            name, "pipeline", "pipeline_attack", f"attest:{mode}",
-            params={"mode": mode}, benign={"mode": honest},
+            name, "pipeline", "pipeline_attack", f"attest:{code}",
+            params={"mode": name.replace("-", "_")}, benign={"mode": honest},
             blast_radius="none",
             title=f"pipeline: {name.replace('-', ' ')}",
         )
-        for name, mode, honest in tail
+        for name, code, honest in tail
     )
 
 

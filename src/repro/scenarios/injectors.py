@@ -43,7 +43,7 @@ from typing import Callable, Dict, Optional, Type
 
 from ..amd.policy import GuestPolicy
 from ..amd.tcb import TcbVersion
-from ..attest import AttestationVerifier, Evidence, TeeFamily
+from ..attest import AMD_FAMILIES, AttestationVerifier, Evidence, TeeFamily
 from ..cca.realms import CcaToken
 from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
 from ..crypto import ec, encoding, sigcache
@@ -282,37 +282,15 @@ class StaleChainReplay(Injection):
 class TcbRollback(Injection):
     """The fleet floor is raised above what backends report (i.e. their
     firmware was rolled back); re-attestation fails ``tcb_too_old``.
-    Benign twin: a floor the fleet already meets."""
+    The floor covers ``families`` (default: the AMD families).  Benign
+    twin: a floor the fleet already meets."""
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
         self._handle = faults.raise_tcb_floor(
             self.world.gateway,
             TcbVersion(*self.params.get("floor", (255, 255, 255, 255))),
-        )
-
-    def provoke(self) -> bool:
-        return self._attest(self._ip).ok
-
-    def revert(self) -> None:
-        self._handle.revert()
-
-    def recovered(self) -> bool:
-        return self._readmit(self._ip)
-
-
-@register("family_floor")
-class FamilyFloor(Injection):
-    """Per-family TCB floor raised above the family's platforms;
-    re-attestation fails with the family-scoped ``family_tcb_floor``."""
-
-    def inject(self) -> None:
-        self._ip = self._victim_ip()
-        floor = self.params.get("floor", (255, 255, 255, 255))
-        self._handle = faults.raise_family_tcb_floor(
-            self.world.gateway,
-            self.params.get("family", str(TeeFamily.SEV_SNP)),
-            TcbVersion(*floor),
+            families=self.params.get("families", AMD_FAMILIES),
         )
 
     def provoke(self) -> bool:
@@ -373,7 +351,7 @@ class RogueBackend(Injection):
         mode = self.params.get("mode", "honest")
         self._mode = mode
         self._ip = world.next_rogue_ip()
-        self._saved_golden = list(gateway.golden_measurements)
+        self._saved_golden = dict(gateway.golden_measurements)
         self._saved_revoked = list(gateway.revoked_measurements)
 
         body, status = self._build_evidence(mode)
@@ -417,19 +395,20 @@ class RogueBackend(Injection):
         elif mode == "revoked_image":
             # Previously authorized, since revoked: golden AND revoked
             # (revocation must win, proving the code is revocation).
-            gateway.golden_measurements = sorted(
-                set(gateway.golden_measurements) | {bytes(guest.measurement)}
-            )
+            self._make_golden(guest.measurement)
             gateway.revoked_measurements = sorted(
                 set(gateway.revoked_measurements) | {bytes(guest.measurement)}
             )
         elif mode == "honest":
-            gateway.golden_measurements = sorted(
-                set(gateway.golden_measurements) | {bytes(guest.measurement)}
-            )
+            self._make_golden(guest.measurement)
         # tampered_image / wrong_family / forged_signature /
         # debug_guest / foreign_chip: measurement stays un-golden.
         return encoding.encode({"report": report.encode()}), 200
+
+    def _make_golden(self, measurement: bytes) -> None:
+        goldens = self.world.gateway.golden_measurements
+        snp = str(TeeFamily.SEV_SNP)
+        goldens[snp] = sorted({*goldens.get(snp, ()), bytes(measurement)})
 
     def provoke(self) -> bool:
         try:
@@ -734,7 +713,6 @@ class PipelineAttack(Injection):
         )
 
     def _case(self, world, mode: str):
-        from ..attest import FamilyPolicy
         verifier = world.verifier
         policy = self._policy(world)
         binding = world.binding
@@ -818,14 +796,12 @@ class PipelineAttack(Injection):
                 b"scenario-snp-image", GuestPolicy(debug_allowed=True)
             )
             evidence = world.snp_evidence(guest.get_report(binding))
-        elif mode == "family_tcb_floor":
+        elif mode == "tdx_tcb_floor":
             evidence = Evidence(
                 str(TeeFamily.TDX), world.td.get_quote(binding).encode()
             )
             policy = self._policy(
-                world,
-                golden_measurements=(world.td.mrtd,),
-                families={str(TeeFamily.TDX): FamilyPolicy(minimum_tcb=99)},
+                world, golden_measurements=(world.td.mrtd,), minimum_tcb=99
             )
         elif mode == "lifecycle_not_secured":
             previous = world.cca_platform.lifecycle_state

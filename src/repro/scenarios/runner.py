@@ -281,15 +281,11 @@ class CampaignRunner:
             )
             world.monitor = monitor
 
-            family_goldens = {
-                family: policy.golden_measurements
-                for family, policy in world.hetero.family_policies().items()
-            }
-
             def extension_setup(extension):
                 extension.verifier.contexts.update(world.hetero.contexts())
                 extension.register_site(
-                    world.deployment.domain, family_measurements=family_goldens
+                    world.deployment.domain,
+                    family_measurements=world.hetero.goldens,
                 )
                 if world.farm is not None:
                     extension.verifier.farm = world.farm

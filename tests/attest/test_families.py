@@ -16,7 +16,6 @@ from repro.attest import (
     AttestationVerifier,
     CcaTrust,
     Evidence,
-    FamilyPolicy,
     TdxTrust,
     TeeFamily,
     VerificationPolicy,
@@ -38,10 +37,13 @@ WRONG_BINDING = hashlib.sha256(b"someone-else").digest() + b"\x00" * 32
 class FamilyCase:
     """One family's evidence factory plus the knobs the matrix turns."""
 
-    def __init__(self, family, make_evidence, measurement, floor_too_high):
+    def __init__(self, family, make_evidence, measurement, platform_id,
+                 floor_met, floor_too_high):
         self.family = str(family)
         self.make_evidence = make_evidence
         self.measurement = bytes(measurement)
+        self.platform_id = bytes(platform_id)
+        self.floor_met = floor_met
         self.floor_too_high = floor_too_high
 
 
@@ -87,24 +89,32 @@ def harness():
             TeeFamily.SEV_SNP,
             lambda binding: snp_guest.get_report(binding).encode(),
             snp_guest.measurement,
+            snp_guest.get_report(BINDING).chip_id,
+            TcbVersion(0, 0, 0, 0),
             TcbVersion(99, 0, 8, 115),
         ),
         FamilyCase(
             TeeFamily.TDX,
             lambda binding: td.get_quote(binding).encode(),
             td.mrtd,
+            td.get_quote(BINDING).platform_id,
+            0,
             99,
         ),
         FamilyCase(
             TeeFamily.CCA,
             lambda binding: realm.attest(binding).encode(),
             realm.rim,
+            cca_platform.platform_id,
+            0,
             99,
         ),
         FamilyCase(
             TeeFamily.VTPM,
             vtpm_evidence,
             vtpm_guest.measurement,
+            ak_endorsement.chip_id,
+            TcbVersion(0, 0, 0, 0),
             TcbVersion(99, 0, 8, 115),
         ),
     ]
@@ -179,18 +189,51 @@ class TestParityMatrix:
             assert not outcome.ok, case.family
             assert outcome.reason == "report_data_mismatch", case.family
 
-    def test_family_tcb_floor_is_uniform(self, harness):
+    def test_tcb_floor_is_uniform(self, harness):
         verifier, cases = harness
+        for case in cases:
+            outcome = _verify(verifier, case, minimum_tcb=case.floor_too_high)
+            assert not outcome.ok, case.family
+            assert outcome.reason == "tcb_too_old", case.family
+            assert outcome.failure.name == "tcb_floor", case.family
+            assert _verify(verifier, case, minimum_tcb=case.floor_met).ok
+
+    def test_chip_id_allowlist_is_uniform(self, harness):
+        verifier, cases = harness
+        for case in cases:
+            outcome = _verify(
+                verifier, case, allowed_chip_ids=(b"\x01" * 64,)
+            )
+            assert not outcome.ok, case.family
+            assert outcome.reason == "chip_id_not_allowed", case.family
+            assert _verify(
+                verifier, case, allowed_chip_ids=(case.platform_id,)
+            ).ok, case.family
+
+    def test_policy_checks_run_in_one_order(self, harness):
+        """Every expectation set: the policy steps run in the same order
+        in every family, revocation first and the TCB floor after every
+        authenticity step."""
+        verifier, cases = harness
+        policy_steps = [
+            "revocation", "measurement", "report_data", "chip_id_allowlist",
+            "tcb_floor",
+        ]
         for case in cases:
             outcome = _verify(
                 verifier,
                 case,
-                families={
-                    case.family: FamilyPolicy(minimum_tcb=case.floor_too_high)
-                },
+                revoked_measurements=(b"\x0d" * 48,),
+                allowed_chip_ids=(case.platform_id,),
+                minimum_tcb=case.floor_met,
             )
-            assert not outcome.ok, case.family
-            assert outcome.reason == "family_tcb_floor", case.family
+            assert outcome.ok, (case.family, outcome.reason)
+            names = [record.name for record in outcome.steps]
+            assert [n for n in names if n in policy_steps] == policy_steps
+            provider = names[names.index("evidence_decode") + 1:]
+            assert provider[0] == "revocation", case.family
+            authenticity = provider[1:provider.index("measurement")]
+            assert "signature" in authenticity, case.family
 
     def test_per_family_counters_track_each_family(self, harness):
         verifier, cases = harness

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attest import amd_tcb_floors
 from repro.build import build_revelio_image
 from repro.core import RevelioDeployment
 from repro.core.trusted_registry import StaticRegistry
@@ -25,7 +26,9 @@ class TestRegistration:
         extension.register_site("a.example", [b"\x01" * 48])
         extension.register_site("a.example", [b"\x02" * 48])
         registration = extension._sites["a.example"]
-        assert registration.expected_measurements == {b"\x01" * 48, b"\x02" * 48}
+        assert registration.measurements == {
+            "sev-snp": {b"\x01" * 48, b"\x02" * 48}
+        }
 
     def test_registration_case_insensitive(self, deployment):
         extension = RevelioExtension(deployment._new_kds_client())
@@ -198,7 +201,7 @@ class TestTcbFloor:
         from repro.amd.tcb import TcbVersion
 
         browser, extension = deployment.make_user("ext-t3", "10.3.2.3")
-        extension.minimum_tcb = TcbVersion(255, 255, 255, 255)
+        extension.tcb_floors = amd_tcb_floors(TcbVersion(255, 255, 255, 255))
         verdict = extension.before_request(
             browser, deployment.domain, f"https://{deployment.domain}/"
         )
@@ -208,7 +211,7 @@ class TestTcbFloor:
         from repro.amd.tcb import TcbVersion
 
         browser, extension = deployment.make_user("ext-t4", "10.3.2.4")
-        extension.minimum_tcb = TcbVersion(255, 255, 255, 255)
+        extension.tcb_floors = amd_tcb_floors(TcbVersion(255, 255, 255, 255))
         extension.register_site(
             deployment.domain, minimum_tcb=TcbVersion(1, 0, 0, 0)
         )
@@ -219,6 +222,26 @@ class TestTcbFloor:
             "ext-t5", "10.3.2.5", register_service=False
         )
         extension.register_site(deployment.domain, [b"\xff" * 48])
+        verdict = extension.before_request(
+            browser, deployment.domain, f"https://{deployment.domain}/"
+        )
+        assert verdict.blocked
+        assert verdict.reason_code == "measurement_mismatch"
+
+
+class TestFamilyGoldens:
+    def test_snp_report_blocked_by_non_snp_goldens_only(self, deployment):
+        """Goldens registered for other families only: the SNP evidence
+        is checked against an empty SNP set and fails closed."""
+        browser, extension = deployment.make_user(
+            "ext-f1", "10.3.4.1", register_service=False
+        )
+        extension.register_site(
+            deployment.domain,
+            family_measurements={
+                "tdx": [bytes(deployment.build.expected_measurement)]
+            },
+        )
         verdict = extension.before_request(
             browser, deployment.domain, f"https://{deployment.domain}/"
         )

@@ -76,7 +76,7 @@ class TestRollingRollout:
             assert deployed.vm.name.endswith("-v2.0.0")
             assert deployed.node.serving
         assert deployment.build is fleet_build_v2
-        assert gateway.golden_measurements == [new_m]
+        assert gateway.golden_measurements == {"sev-snp": [new_m]}
         assert old_m in gateway.revoked_measurements
         assert old_m not in deployment.sp.expected_measurements
         assert new_m in deployment.sp.expected_measurements
@@ -88,8 +88,8 @@ class TestRollingRollout:
         self, fleet_build, fleet_build_v2
     ):
         """The finish step revokes the deployment's old image and keeps
-        every other golden: a fleet's SNP backend, whose golden rides
-        the gateway's global set, still re-attests afterwards."""
+        every other golden: a fleet's SNP backend, whose golden sits
+        next to the deployment's, still re-attests afterwards."""
         deployment, gateway, kernel = make_world(fleet_build, with_kernel=True)
         fleet = HeterogeneousFleet(deployment)
         fleet.add_backend("10.1.0.10", "sev-snp")
@@ -100,7 +100,7 @@ class TestRollingRollout:
             kernel, rolling_rollout(gateway, deployment, fleet_build_v2)
         )
         assert bytes(fleet_build.expected_measurement) not in (
-            gateway.golden_measurements
+            gateway.golden_measurements["sev-snp"]
         )
         for ip_address in sorted(gateway.backends):
             verdict = gateway.attest_and_admit(ip_address)

@@ -12,7 +12,6 @@ from repro.fleet import (
     blackhole_kds,
     corrupt_disk,
     kill_backend,
-    raise_family_tcb_floor,
     raise_tcb_floor,
     revoke_family,
     slow_disk,
@@ -170,21 +169,38 @@ class TestFamilyFaults:
             >= 1
         )
 
-    def test_family_tcb_floor_fails_only_that_family(self, sync_world):
+    def test_tcb_floor_fails_only_that_family(self, sync_world):
         deployment, gateway, _ = sync_world
         self._hetero(deployment, gateway)
 
         # Fleet TDX platforms report TCB SVN 3; mandate newer firmware.
-        raise_family_tcb_floor(gateway, "tdx", 4)
+        raise_tcb_floor(gateway, 4, families=("tdx",))
 
         verdict = gateway.attest_and_admit("10.1.0.10")
         assert not verdict.ok
-        assert verdict.reason == "family_tcb_floor"
+        assert verdict.reason == "tcb_too_old"
         assert gateway.backends["10.1.0.10"].state == "evicted"
-        assert gateway.counters["family.tdx.evictions.family_tcb_floor"] == 1
+        assert gateway.counters["family.tdx.evictions.tcb_too_old"] == 1
         # SNP and CCA backends still re-attest fine under their floors.
         assert gateway.attest_and_admit("10.1.0.40").ok
         assert gateway.attest_and_admit(sorted(gateway.backends)[0]).ok
+
+    def test_amd_floor_reaches_vtpm_evidence(self, sync_world):
+        deployment, gateway, _ = sync_world
+        fleet = self._hetero(deployment, gateway)
+        fleet.add_backend("10.1.0.70", "e-vtpm")
+        assert all(v.ok for v in fleet.attach_gateway(gateway))
+
+        # An AMD floor covers the e-vTPM's SNP endorsement, not TDX/CCA.
+        raise_tcb_floor(gateway, TcbVersion(4, 0, 8, 115))
+
+        verdict = gateway.attest_and_admit("10.1.0.70")
+        assert verdict.reason == "tcb_too_old"
+        assert gateway.attest_and_admit(sorted(gateway.backends)[0]).reason == (
+            "tcb_too_old"
+        )
+        assert gateway.attest_and_admit("10.1.0.10").ok
+        assert gateway.attest_and_admit("10.1.0.40").ok
 
 
 class TestSymmetricRevert:
@@ -222,13 +238,14 @@ class TestSymmetricRevert:
 
     def test_tcb_floor_revert_restores_previous_floor(self, sync_world):
         _, gateway, _ = sync_world
-        previous = gateway.minimum_tcb
+        gateway.tcb_floors["sev-snp"] = TcbVersion(1, 0, 0, 0)
+        previous = dict(gateway.tcb_floors)
         handle = raise_tcb_floor(gateway, TcbVersion(255, 255, 255, 255))
         ip = sorted(gateway.backends)[0]
         assert gateway.attest_and_admit(ip).reason == "tcb_too_old"
 
         handle.revert()
-        assert gateway.minimum_tcb == previous
+        assert gateway.tcb_floors == previous
         gateway.add_backend(ip)
         assert gateway.attest_and_admit(ip).ok
 
@@ -237,11 +254,11 @@ class TestSymmetricRevert:
         fleet = HeterogeneousFleet(deployment)
         fleet.add_backend("10.1.0.10", "tdx")
         assert all(v.ok for v in fleet.attach_gateway(gateway))
-        handle = raise_family_tcb_floor(gateway, "tdx", 4)
-        assert gateway.attest_and_admit("10.1.0.10").reason == "family_tcb_floor"
+        handle = raise_tcb_floor(gateway, 4, families=("tdx",))
+        assert gateway.attest_and_admit("10.1.0.10").reason == "tcb_too_old"
 
         handle.revert()
-        assert "tdx" not in gateway.family_tcb_floors
+        assert "tdx" not in gateway.tcb_floors
         gateway.add_backend("10.1.0.10", family="tdx")
         assert gateway.attest_and_admit("10.1.0.10").ok
 

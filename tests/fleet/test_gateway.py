@@ -31,7 +31,7 @@ class TestAdmission:
             domain=deployment.domain,
             kds=deployment._new_kds_client(),
             trust_anchors=[deployment.web_pki.trust_anchor],
-            golden_measurements=[b"\x00" * 48],
+            golden_measurements={"sev-snp": [b"\x00" * 48]},
             rng=deployment.rng.fork(b"strict-gw"),
             name="strict-gateway",
         )

@@ -13,6 +13,7 @@ from repro.fleet import (
     UserPool,
     revoke_family,
 )
+from repro.fleet.drain import begin_rollout, finish_rollout
 from repro.sim import SimRng
 from repro.sim.kernel import sleep
 from tests.fleet.conftest import make_world
@@ -37,15 +38,10 @@ def attach_hetero(deployment, gateway):
 
 
 def extension_setup_for(deployment, fleet):
-    family_goldens = {
-        family: policy.golden_measurements
-        for family, policy in fleet.family_policies().items()
-    }
-
     def setup(extension):
         extension.verifier.contexts.update(fleet.contexts())
         extension.register_site(
-            deployment.domain, family_measurements=family_goldens
+            deployment.domain, family_measurements=fleet.goldens
         )
 
     return setup
@@ -116,6 +112,18 @@ class TestMixedAdmission:
         assert used <= HIGH_TIER_FAMILIES, used
         assert gateway.counters["tier.high.sessions_opened"] >= 6
 
+    def test_family_without_goldens_fails_closed(self, sync_world):
+        """Trust material but no goldens for the family: the backend is
+        checked against an empty golden set and rejected."""
+        deployment, gateway, _ = sync_world
+        fleet = HeterogeneousFleet(deployment)
+        fleet.add_backend("10.1.0.10", "tdx")
+        gateway.verifier.contexts.update(fleet.contexts())
+        gateway.add_backend("10.1.0.10", family="tdx")
+        verdict = gateway.attest_and_admit("10.1.0.10")
+        assert verdict.reason == "measurement_mismatch"
+        assert gateway.backends["10.1.0.10"].state == "rejected"
+
     def test_unknown_tier_falls_back_to_bulk(self, sync_world):
         deployment, gateway, _ = sync_world
         fleet = attach_hetero(deployment, gateway)
@@ -161,15 +169,36 @@ class TestLauncher:
         assert sibling.measurement == new
         fleet.retire_measurement(family, old)
         assert fleet.goldens[family] == {new}
-        overlays = fleet.family_policies()
-        if family == "sev-snp":
-            assert family not in overlays
-        else:
-            assert list(overlays[family].golden_measurements) == [new]
         fleet.sync_gateway(gateway)
         gateway.add_backend(sibling.ip_address, family=family)
         verdict = gateway.attest_and_admit(sibling.ip_address)
         assert verdict.ok, verdict.reason
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_finish_rollout_revokes_the_retired_image(
+        self, sync_world, fleet_build_v2, family
+    ):
+        """Whatever its family, an image no backend runs after a
+        rollout's finish is revoked: a backend booted from it again is
+        refused with ``measurement_revoked``."""
+        deployment, gateway, _ = sync_world
+        fleet = HeterogeneousFleet(deployment)
+        moved = fleet.add_backend("10.1.0.10", family)
+        assert all(v.ok for v in fleet.attach_gateway(gateway))
+        old = moved.measurement
+
+        begin_rollout(deployment, [gateway], fleet_build_v2)
+        fleet.relaunch(moved, token=b"target-image")
+        fleet.sync_gateway(gateway)
+        assert gateway.attest_and_admit(moved.ip_address).ok
+        finish_rollout(deployment, [gateway], fleet_build_v2, fleet=fleet)
+        assert gateway.attest_and_admit(moved.ip_address).ok
+
+        stale = fleet.add_backend("10.1.0.11", family)
+        assert stale.measurement == old
+        gateway.add_backend(stale.ip_address, family=family)
+        verdict = gateway.attest_and_admit(stale.ip_address)
+        assert verdict.reason == "measurement_revoked"
 
 
 class TestMixedStorm:

@@ -103,8 +103,8 @@ class TestProvisionUnderStorm:
         # measurement revoked everywhere, every backend re-admitted.
         assert deployment.build is fleet_build_v2
         for gateway in mesh.gateways.values():
-            assert new in gateway.golden_measurements
-            assert old not in gateway.golden_measurements
+            assert new in gateway.golden_measurements["sev-snp"]
+            assert old not in gateway.golden_measurements["sev-snp"]
             assert old in gateway.revoked_measurements
             for backend in gateway.backends.values():
                 assert backend.state == "admitted"
@@ -147,7 +147,7 @@ class TestProvisionUnderStorm:
         # Nothing moved: old build, old goldens, no retired backend.
         assert deployment.build is fleet_build
         for gateway in mesh.gateways.values():
-            assert old in gateway.golden_measurements
+            assert old in gateway.golden_measurements["sev-snp"]
             assert old not in gateway.revoked_measurements
         workload, _ = run_storm(mesh, kernel, sessions=60)
         assert workload.sessions_completed == 60
@@ -175,7 +175,7 @@ class TestProvisionUnderStorm:
         assert provisioner.channel.epoch == 0
         assert target not in deployment.sp.expected_measurements
         for gateway in mesh.gateways.values():
-            assert target not in gateway.golden_measurements
+            assert target not in gateway.golden_measurements["sev-snp"]
         assert [d.node.trusted_registry for d in deployment.nodes] == (
             node_registries
         )
