@@ -18,7 +18,12 @@ from pathlib import Path
 from repro.amd.kds import KeyDistributionServer
 from repro.amd.policy import REVELIO_POLICY
 from repro.amd.secure_processor import AmdKeyInfrastructure
-from repro.attest import AttestationTracer, AttestationVerifier, VerificationPolicy
+from repro.attest import (
+    AttestationTracer,
+    AttestationVerifier,
+    VerificationPolicy,
+    snp_evidence,
+)
 from repro.core.kds_client import KdsClient
 from repro.crypto import ec, sigcache
 from repro.crypto.drbg import HmacDrbg
@@ -62,14 +67,14 @@ def _measure(cache_enabled: bool) -> dict:
         expected_report_data=REPORT_DATA,
         allowed_chip_ids=(chip.chip_id,),
     )
-    report = guest.get_report(REPORT_DATA)
+    evidence = snp_evidence(guest.get_report(REPORT_DATA))
     if cache_enabled:
-        verifier.verify(report, now=NOW, policy=policy)  # warm the cache
+        verifier.verify(evidence, now=NOW, policy=policy)  # warm the cache
 
     sim_before = clock.now
     started = time.perf_counter()
     for _ in range(ROUNDS):
-        outcome = verifier.verify(report, now=NOW, policy=policy)
+        outcome = verifier.verify(evidence, now=NOW, policy=policy)
         assert outcome.ok, outcome.reason
     wall_seconds = time.perf_counter() - started
     sim_seconds = clock.now - sim_before

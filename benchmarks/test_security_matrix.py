@@ -13,9 +13,15 @@ fresh-session extension validation) are unchanged.
 
 import pytest
 
-from repro.amd.verify import verify_attestation_report
+from repro.attest import (
+    STEP_MEASUREMENT,
+    AttestationVerifier,
+    VerificationPolicy,
+    snp_evidence,
+)
 from repro.bench import Reporter
 from repro.core import RevelioDeployment
+from repro.crypto import sigcache
 from repro.net.latency import ZERO_LATENCY
 from repro.scenarios import CampaignRunner, get_campaign
 
@@ -74,22 +80,25 @@ def test_attack_detection_matrix(benchmark, bn_build, reporter):
 
 def test_report_verification_throughput(benchmark, deployment, reporter):
     """How many full report verifications per second a verifier manages
-    (chain + ECDSA P-384 + field checks)."""
-    node = deployment.nodes[0]
-    report = node.node.tls_report
-    kds = deployment._new_kds_client()
-    vcek = kds.get_vcek(report.chip_id, report.reported_tcb)
-    chain = kds.cert_chain()
-    anchor = kds.trust_anchor
-
-    def verify():
-        return verify_attestation_report(
-            report, vcek, chain, [anchor], now=0,
-            expected_measurement=deployment.build.expected_measurement,
+    (chain + ECDSA P-384 + field checks).  The signature cache is off,
+    so every round does the chain and P-384 work."""
+    evidence = snp_evidence(deployment.nodes[0].node.tls_report)
+    verifier = AttestationVerifier(
+        deployment._new_kds_client(), site="bench:security_matrix"
+    )
+    policy = VerificationPolicy(
+        golden_measurements=(deployment.build.expected_measurement,)
+    )
+    enabled = sigcache.get_cache().enabled
+    sigcache.set_enabled(False)
+    try:
+        outcome = benchmark(
+            lambda: verifier.verify(evidence, now=0, policy=policy)
         )
-
-    result = benchmark(verify)
-    assert result.checked_measurement
+    finally:
+        sigcache.set_enabled(enabled)
+    assert outcome.ok, outcome.reason
+    assert outcome.step(STEP_MEASUREMENT) is not None
     reporter.line(
         "\n  one full report verification (see pytest-benchmark table for ops/s)"
     )

@@ -90,14 +90,14 @@ def portability_section():
     from repro.amd.kds import KeyDistributionServer
     from repro.amd.policy import REVELIO_POLICY
     from repro.amd.secure_processor import AmdKeyInfrastructure
+    from repro.attest import (
+        AttestationVerifier, CcaTrust, TdxTrust, TeeFamily, VerificationPolicy,
+        cca_evidence, snp_evidence, tdx_evidence,
+    )
     from repro.cca import ArmInfrastructure
     from repro.core.kds_client import KdsClient
     from repro.net.latency import ZERO_LATENCY, SimClock
     from repro.tdx import IntelInfrastructure, ProvisioningCertificationService
-    from repro.tee import (
-        KIND_CCA, KIND_SEV_SNP, KIND_TDX,
-        TeeVerifier, cca_evidence, snp_evidence, tdx_evidence,
-    )
 
     amd = AmdKeyInfrastructure(HmacDrbg(b"tour-amd"))
     intel = IntelInfrastructure(HmacDrbg(b"tour-intel"))
@@ -107,15 +107,16 @@ def portability_section():
     cca_platform = arm.provision_platform("tour-cca")
     cpak = arm.cpak_certificate(cca_platform)
 
-    verifier = TeeVerifier(
-        {
-            KIND_SEV_SNP: KdsClient(KeyDistributionServer(amd), SimClock(),
-                                    ZERO_LATENCY),
-            KIND_TDX: ProvisioningCertificationService(intel),
-            KIND_CCA: (lambda pid: cpak, [arm.root.certificate]),
-        }
+    verifier = AttestationVerifier(
+        KdsClient(KeyDistributionServer(amd), SimClock(), ZERO_LATENCY),
+        site="tour",
+        contexts={
+            TeeFamily.TDX: TdxTrust(ProvisioningCertificationService(intel)),
+            TeeFamily.CCA: CcaTrust(lambda pid: cpak, (arm.root.certificate,)),
+        },
     )
-    print(f"  verifier supports: {', '.join(verifier.supported_kinds())}")
+    print(f"  verifier trust contexts: {TeeFamily.SEV_SNP} (KDS), "
+          f"{', '.join(verifier.contexts)}")
 
     challenge = b"\x42" * 64
     workloads = {
@@ -135,12 +136,15 @@ def portability_section():
     for name, (launch, evidence_of) in workloads.items():
         workload = launch()
         evidence, golden = evidence_of(workload)
-        verified = verifier.verify(
-            evidence, now=0, expected_measurements=[golden],
-            expected_report_data=challenge,
+        outcome = verifier.verify(
+            evidence, now=0,
+            policy=VerificationPolicy(
+                golden_measurements=[golden], expected_report_data=challenge
+            ),
         )
+        outcome.raise_for_failure()
         print(f"  {name:<18s} verified: measurement "
-              f"{verified.measurement.hex()[:24]}... [{verified.kind}]")
+              f"{golden.hex()[:24]}... [{outcome.family}]")
 
 
 def main():

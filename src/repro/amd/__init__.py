@@ -16,7 +16,7 @@ from .secure_processor import (
     SevError,
 )
 from .tcb import TcbVersion
-from .verify import AttestationError, VerifiedReport, verify_attestation_report
+from .verify import AttestationError
 
 __all__ = [
     "AmdKeyInfrastructure",
@@ -31,6 +31,4 @@ __all__ = [
     "SecureProcessor",
     "SevError",
     "TcbVersion",
-    "VerifiedReport",
-    "verify_attestation_report",
 ]

@@ -1,23 +1,20 @@
 """Attestation report verification — the verifier side of SEV-SNP.
 
-This module holds the *low-level* cryptographic checks every Revelio
-verifier runs on a received report, each exposed as a primitive with a
-stable machine-readable failure ``reason``:
+This module holds the *authenticity* checks every Revelio verifier
+runs on a received report, each exposed as a primitive with a stable
+machine-readable failure ``reason``:
 
 1. certificate-chain validation of VCEK -> ASK -> ARK against pinned
    trust anchors,
 2. cross-checks of the VCEK certificate's embedded chip id / TCB
    against the report fields,
 3. ECDSA P-384 verification of the report signature,
-4. policy sanity (no debug-enabled guests),
-5. optional caller expectations: measurement, REPORT_DATA, chip-id
-   allow-list, minimum TCB.
+4. policy sanity (no debug-enabled guests).
 
-:func:`verify_attestation_report` composes the primitives in that order
-and raises on the first failure.  Higher-level callers should not use
-it directly: :class:`repro.attest.AttestationVerifier` drives the same
-primitives as an observable step pipeline, and a CI gate keeps every
-other module behind that seam.
+The SNP report steps of :mod:`repro.attest.families` are their only
+composer: :class:`repro.attest.AttestationVerifier` runs them as an
+observable step pipeline, followed by the policy checks (measurement,
+REPORT_DATA, chip-id allow-list, TCB floor) every TEE family shares.
 
 Failures raise :class:`AttestationError` with a machine-readable
 ``reason`` so callers (and tests) can distinguish failure modes.
@@ -25,8 +22,7 @@ Failures raise :class:`AttestationError` with a machine-readable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from ..crypto.x509 import Certificate, CertificateError, validate_chain
 from .report import AttestationReport
@@ -40,17 +36,6 @@ class AttestationError(Exception):
         self.reason = reason
         self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-@dataclass(frozen=True)
-class VerifiedReport:
-    """The outcome of a successful verification."""
-
-    report: AttestationReport
-    vcek_certificate: Certificate
-    checked_measurement: bool
-    checked_report_data: bool
-    checked_chip_id: bool
 
 
 # -- check primitives ----------------------------------------------------------
@@ -111,85 +96,3 @@ def check_debug_policy(report: AttestationReport, allow_debug: bool = False) -> 
         raise AttestationError(
             "debug_policy", "guest was launched with debugging enabled"
         )
-
-
-def check_measurement(
-    report: AttestationReport, golden_measurements: Iterable[bytes]
-) -> None:
-    """The launch measurement must be in the golden set."""
-    golden = {bytes(m) for m in golden_measurements}
-    if bytes(report.measurement) not in golden:
-        raise AttestationError(
-            "measurement_mismatch",
-            f"measurement {report.measurement.hex()[:16]}... is not in the "
-            f"golden set ({len(golden)} value(s))",
-        )
-
-
-def check_report_data(
-    report: AttestationReport, expected_report_data: bytes
-) -> None:
-    """REPORT_DATA must match the caller's expected binding."""
-    if report.report_data != expected_report_data:
-        raise AttestationError(
-            "report_data_mismatch", "REPORT_DATA does not match expectation"
-        )
-
-
-def check_chip_id_allowed(
-    report: AttestationReport, allowed_chip_ids: Iterable[bytes]
-) -> None:
-    """The reporting platform must be on the approved list."""
-    allowed = {bytes(chip_id) for chip_id in allowed_chip_ids}
-    if bytes(report.chip_id) not in allowed:
-        raise AttestationError(
-            "chip_id_not_allowed", "platform is not on the approved list"
-        )
-
-
-def check_minimum_tcb(report: AttestationReport, minimum_tcb: TcbVersion) -> None:
-    """The platform TCB must meet the required floor."""
-    if not report.reported_tcb.at_least(minimum_tcb):
-        raise AttestationError(
-            "tcb_too_old", "platform TCB below the required minimum"
-        )
-
-
-# -- composed verification -----------------------------------------------------
-
-
-def verify_attestation_report(
-    report: AttestationReport,
-    vcek_certificate: Certificate,
-    cert_chain: Sequence[Certificate],
-    trust_anchors: Sequence[Certificate],
-    now: int,
-    expected_measurement: Optional[bytes] = None,
-    expected_report_data: Optional[bytes] = None,
-    allowed_chip_ids: Optional[Iterable[bytes]] = None,
-    minimum_tcb: Optional[TcbVersion] = None,
-    allow_debug: bool = False,
-) -> VerifiedReport:
-    """Verify *report* end to end; raise :class:`AttestationError` on
-    the first failed check, return a :class:`VerifiedReport` otherwise."""
-    check_certificate_chain(vcek_certificate, cert_chain, trust_anchors, now)
-    check_chip_id_binding(report, vcek_certificate)
-    check_tcb_binding(report, vcek_certificate)
-    check_signature(report, vcek_certificate)
-    check_debug_policy(report, allow_debug)
-    if expected_measurement is not None:
-        check_measurement(report, [expected_measurement])
-    if expected_report_data is not None:
-        check_report_data(report, expected_report_data)
-    if allowed_chip_ids is not None:
-        check_chip_id_allowed(report, allowed_chip_ids)
-    if minimum_tcb is not None:
-        check_minimum_tcb(report, minimum_tcb)
-
-    return VerifiedReport(
-        report=report,
-        vcek_certificate=vcek_certificate,
-        checked_measurement=expected_measurement is not None,
-        checked_report_data=expected_report_data is not None,
-        checked_chip_id=allowed_chip_ids is not None,
-    )

@@ -1,12 +1,14 @@
 """The unified attestation verification pipeline (SNPGuard-style).
 
-Every Revelio verifier — the web extension, RA-TLS peers, the SP node,
-the vTPM monitor, key-sharing recipients, the hardware-agnostic TEE
-dispatch — runs the *same* procedure with different expectations.  This
-package makes that one observable pipeline:
+Every Revelio verifier — the web extension, the fleet gateway, RA-TLS
+peers, the SP node, the vTPM monitor, key-sharing recipients — runs the
+*same* procedure with different expectations.  This package makes that
+one observable pipeline:
 
 * :class:`TeeFamily` / :class:`Evidence` — the TEE vocabulary and the
-  tagged envelope the engine dispatches on (SEV-SNP, TDX, CCA, e-vTPM),
+  tagged envelope the engine dispatches on (SEV-SNP, TDX, CCA, e-vTPM);
+  the envelope is the engine's only input and, encoded, what every node
+  serves at the well-known attestation URL,
 * :class:`VerificationPolicy` — the expectations, declaratively, as
   one flat value that means the same thing for every family,
 * :class:`AttestationVerifier` — the engine: runs the registered
@@ -66,7 +68,6 @@ from .families import (
     VtpmTrust,
     provider_for,
     register_step_provider,
-    registered_families,
 )
 from .farm import FarmJob, VerifyFarm
 from .policy import AMD_FAMILIES, VerificationPolicy, amd_tcb_floors
@@ -142,7 +143,6 @@ __all__ = [
     "get_tracer",
     "provider_for",
     "register_step_provider",
-    "registered_families",
     "reset_tracer",
     "set_tracer",
     "snp_evidence",

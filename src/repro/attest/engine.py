@@ -2,20 +2,20 @@
 
 One :class:`AttestationVerifier` replaces the hand-rolled
 fetch-VCEK/verify/map-error blocks that used to live in every verifier
-(web extension, RA-TLS, key sharing, SP node, vTPM monitor, TEE
-dispatch).  It runs an explicit ordered step list, producing a
+(web extension, gateway, RA-TLS, key sharing, SP node, vTPM monitor).
+It runs an explicit ordered step list, producing a
 :class:`VerificationOutcome` that records *per-step* results — name,
 pass/fail, stable reason code, simulated-clock cost — instead of
-raising opaquely on the first failure.  Every run is reported to the
-tracing layer (:mod:`repro.attest.trace`).
+raising opaquely on the first failure; callers that want an exception
+use :meth:`VerificationOutcome.raise_for_failure`.  Every run is
+reported to the tracing layer (:mod:`repro.attest.trace`).
 
-The step list is family-dispatched: a bare SNP
-:class:`~repro.amd.report.AttestationReport` runs the historical SNP
-pipeline unchanged, while a tagged
-:class:`~repro.attest.evidence.Evidence` envelope is routed to the
-registered :mod:`~repro.attest.families` provider for its TEE family
-(SEV-SNP, TDX, CCA, e-vTPM), after family admissibility and decode
-steps.  One engine, one reason-code taxonomy, four backends.
+Its one input is a tagged :class:`~repro.attest.evidence.Evidence`
+envelope (callers holding a native SNP report wrap it with
+:func:`~repro.attest.evidence.snp_evidence`).  The envelope is routed
+to the registered :mod:`~repro.attest.families` provider for its TEE
+family (SEV-SNP, TDX, CCA, e-vTPM), after family admissibility and
+decode steps.  One engine, one reason-code taxonomy, four backends.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..amd.report import AttestationReport
-from ..amd.verify import AttestationError, VerifiedReport
+from ..amd.verify import AttestationError
 from ..crypto import sigcache
 from ..crypto.x509 import Certificate
 from .evidence import Evidence, TeeFamily
@@ -93,7 +92,7 @@ class VerificationOutcome:
     policy: VerificationPolicy
     vcek_certificate: Optional[Certificate] = None
     sim_cost: float = 0.0
-    #: The evidence's TEE family name (``"sev-snp"`` for bare reports).
+    #: The evidence's TEE family name.
     family: str = str(TeeFamily.SEV_SNP)
 
     @property
@@ -133,18 +132,6 @@ class VerificationOutcome:
         failure = self.failure
         if failure is not None:
             raise AttestationError(failure.reason, failure.detail)
-
-    def verified_report(self) -> VerifiedReport:
-        """The legacy success value (raises if the outcome failed)."""
-        self.raise_for_failure()
-        assert self.vcek_certificate is not None
-        return VerifiedReport(
-            report=self.report,
-            vcek_certificate=self.vcek_certificate,
-            checked_measurement=self.policy.golden_measurements is not None,
-            checked_report_data=self.policy.expected_report_data is not None,
-            checked_chip_id=self.policy.allowed_chip_ids is not None,
-        )
 
 
 class AttestationVerifier:
@@ -202,7 +189,7 @@ class AttestationVerifier:
 
     def verify(
         self,
-        report,
+        evidence: Evidence,
         now: int,
         policy: Optional[VerificationPolicy] = None,
         site: Optional[str] = None,
@@ -210,11 +197,8 @@ class AttestationVerifier:
     ) -> VerificationOutcome:
         """Run the pipeline; never raises on a failed check.
 
-        *report* is either a bare SNP
-        :class:`~repro.amd.report.AttestationReport` (the historical
-        call convention — runs the SNP pipeline with no dispatch steps)
-        or an :class:`~repro.attest.evidence.Evidence` envelope, which
-        prepends family admissibility and decode steps before the
+        *evidence* is an :class:`~repro.attest.evidence.Evidence`
+        envelope: family admissibility and decode steps run before the
         family provider's own checks.
 
         *_prepared* is a state dict that :meth:`verify_batch` already
@@ -237,18 +221,11 @@ class AttestationVerifier:
         )
         records = []
         if self.farm is not None and _prepared is None:
-            prepare_record = self._prepare(report, now, policy, state, clock)
+            prepare_record = self._prepare(evidence, now, policy, state, clock)
             if prepare_record is not None:
                 records.append(prepare_record)
-        if isinstance(report, Evidence):
-            family = report.family
-            step_iter = self._dispatched_steps(report, now, policy, state)
-        else:
-            family = TeeFamily.SEV_SNP
-            state["native"] = report
-            step_iter = provider_for(family).steps(
-                report, now, policy, self._context_for(family), state
-            )
+        family = evidence.family
+        step_iter = self._dispatched_steps(evidence, now, policy, state)
 
         failed = False
         for name, run_check in step_iter:
@@ -303,32 +280,27 @@ class AttestationVerifier:
 
     def _collect_jobs(
         self,
-        report,
+        evidence: Evidence,
         now: int,
         policy: VerificationPolicy,
         state: dict,
     ) -> list:
-        """The farm prepare pass for one report: ask the family provider
-        to fetch endorsements into *state* and enumerate the signature
-        equations its step list will check.  Returns ``[]`` whenever the
-        pipeline could not be prejudged (unknown/forbidden family,
-        undecodable evidence, fetch failure) — the run then proceeds,
-        and fails, through the normal steps."""
-        if isinstance(report, Evidence):
-            family = report.family
-            if not policy.family_allowed(family):
-                return []
-            provider = provider_for(family)
-            if provider is None:
-                return []
-            try:
-                native = provider.decode(report.body)
-            except AttestationError:
-                return []
-        else:
-            family = TeeFamily.SEV_SNP
-            provider = provider_for(family)
-            native = report
+        """The farm prepare pass for one envelope: ask the family
+        provider to fetch endorsements into *state* and enumerate the
+        signature equations its step list will check.  Returns ``[]``
+        whenever the pipeline could not be prejudged (unknown/forbidden
+        family, undecodable evidence, fetch failure) — the run then
+        proceeds, and fails, through the normal steps."""
+        family = evidence.family
+        if not policy.family_allowed(family):
+            return []
+        provider = provider_for(family)
+        if provider is None:
+            return []
+        try:
+            native = provider.decode(evidence.body)
+        except AttestationError:
+            return []
         context = self._context_for(family)
         if context is None:
             return []
@@ -338,13 +310,13 @@ class AttestationVerifier:
             return []
 
     def _prepare(
-        self, report, now: int, policy: VerificationPolicy, state: dict, clock
+        self, evidence, now: int, policy: VerificationPolicy, state: dict, clock
     ) -> Optional[StepRecord]:
         """Run the farm prepare pass for a single verification and
         settle it immediately; the endorsement-fetch and batch cost land
         on a leading ``batch_prepare`` step record."""
         started = clock.now if clock is not None else 0.0
-        jobs = self._collect_jobs(report, now, policy, state)
+        jobs = self._collect_jobs(evidence, now, policy, state)
         if jobs:
             self.farm.verify_many(jobs)
         cost = (clock.now - started) if clock is not None else 0.0
@@ -359,45 +331,46 @@ class AttestationVerifier:
 
     def verify_batch(
         self,
-        reports,
+        evidences,
         now: int,
         policies=None,
         site: Optional[str] = None,
     ) -> list:
-        """Verify a group of reports with one shared farm settlement.
+        """Verify a group of :class:`~repro.attest.evidence.Evidence`
+        envelopes with one shared farm settlement.
 
-        All reports' signature equations (chain links, report
+        All envelopes' signature equations (chain links, report
         signatures) are queued together, so fleet-wide common terms —
         the shared ARK/ASK certificates, duplicate chain links — are
-        verified once per *batch* rather than once per report.
-        *policies* is an optional per-report policy sequence.  Without a
-        farm this degrades to sequential :meth:`verify` calls."""
-        reports = list(reports)
-        if policies is not None and len(policies) != len(reports):
-            raise ValueError("policies must match reports one-to-one")
+        verified once per *batch* rather than once per envelope.
+        *policies* is an optional per-envelope policy sequence.  Without
+        a farm this degrades to sequential :meth:`verify` calls."""
+        evidences = list(evidences)
+        if policies is not None and len(policies) != len(evidences):
+            raise ValueError("policies must match evidences one-to-one")
         if self.farm is None:
             return [
                 self.verify(
-                    report,
+                    evidence,
                     now,
                     policy=policies[index] if policies is not None else None,
                     site=site,
                 )
-                for index, report in enumerate(reports)
+                for index, evidence in enumerate(evidences)
             ]
         prepared = []
-        for index, report in enumerate(reports):
+        for index, evidence in enumerate(evidences):
             policy = (
                 policies[index] if policies is not None else self.policy
             )
             state = {"vcek": None, "chain": None, "native": None}
-            for job in self._collect_jobs(report, now, policy, state):
+            for job in self._collect_jobs(evidence, now, policy, state):
                 self.farm.submit(*job)
-            prepared.append((report, policy, state))
+            prepared.append((evidence, policy, state))
         self.farm.flush()
         return [
-            self.verify(report, now, policy=policy, site=site, _prepared=state)
-            for report, policy, state in prepared
+            self.verify(evidence, now, policy=policy, site=site, _prepared=state)
+            for evidence, policy, state in prepared
         ]
 
     def _dispatched_steps(
@@ -476,15 +449,3 @@ class AttestationVerifier:
             if served_from_cache:
                 price *= _CACHED_VERIFY_DISCOUNT
         clock.advance(price)
-
-    def verify_or_raise(
-        self,
-        report: AttestationReport,
-        now: int,
-        policy: Optional[VerificationPolicy] = None,
-        site: Optional[str] = None,
-    ) -> VerifiedReport:
-        """Run the pipeline; raise :class:`AttestationError` with the
-        failing step's stable reason code, return the legacy
-        :class:`VerifiedReport` on success."""
-        return self.verify(report, now, policy=policy, site=site).verified_report()

@@ -9,13 +9,15 @@ the unified pipeline dispatches on:
   TDX, ARM CCA, and the SNP-endorsed e-vTPM quote bundle),
 * :class:`Evidence` — a tagged envelope wrapping one family's native
   evidence bytes (an encoded ``AttestationReport``, ``TdQuote``,
-  ``CcaToken``, or ``MonitoringEvidence``),
+  ``CcaToken``, or ``MonitoringEvidence``); it is the only input
+  :class:`~repro.attest.AttestationVerifier` takes and, encoded, the
+  only payload a node serves at the well-known attestation URL,
 * the ``*_evidence`` helpers producing envelopes from native objects.
 
-The family tag strings are wire-stable: they match the ``repro.tee``
-evidence kinds, appear in trace events and per-family counters, and key
-the per-family sub-policies of
-:class:`~repro.attest.policy.VerificationPolicy`.
+The family tag strings are wire-stable: they appear in served
+envelopes, trace events and per-family counters, and key the
+``family -> goldens`` / ``family -> floor`` maps of the gateway and the
+web extension.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ class Evidence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", family_of(self.family))
+        # Checked, not coerced: bytes(n) of a wire integer n would
+        # allocate n zero bytes.
+        if not isinstance(self.body, (bytes, bytearray)):
+            raise EvidenceError(
+                f"evidence body must be bytes, not {type(self.body).__name__}"
+            )
         object.__setattr__(self, "body", bytes(self.body))
 
     def encode(self) -> bytes:

@@ -183,20 +183,6 @@ class VtpmTrust:
             )
 
 
-def _tdx_trust(context) -> TdxTrust:
-    return context if isinstance(context, TdxTrust) else TdxTrust(context)
-
-
-def _cca_trust(context) -> CcaTrust:
-    if isinstance(context, CcaTrust):
-        return context
-    return CcaTrust(context[0], tuple(context[1]))
-
-
-def _vtpm_trust(context) -> VtpmTrust:
-    return context if isinstance(context, VtpmTrust) else VtpmTrust(context)
-
-
 # -- provider protocol and registry --------------------------------------------
 
 
@@ -349,11 +335,6 @@ def provider_for(family: TeeFamily) -> Optional[StepProvider]:
     return _PROVIDERS.get(family)
 
 
-def registered_families() -> Tuple[TeeFamily, ...]:
-    """Every family with a registered provider."""
-    return tuple(_PROVIDERS)
-
-
 def _malformed(exc: Exception) -> AttestationError:
     return AttestationError("evidence_malformed", f"undecodable evidence: {exc}")
 
@@ -455,7 +436,7 @@ class SnpStepProvider(StepProvider):
 class TdxStepProvider(StepProvider):
     """TDX quote verification (the go-tdx-guest flow) as engine steps.
 
-    *context* is a :class:`TdxTrust` (or a bare PCS handle).
+    *context* is a :class:`TdxTrust`.
     """
 
     family = TeeFamily.TDX
@@ -491,8 +472,7 @@ class TdxStepProvider(StepProvider):
     def signature_jobs(self, quote, now, policy, context, state):
         from ..tdx.module import TdxError
 
-        trust = _tdx_trust(context)
-        pcs = trust.pcs
+        pcs = context.pcs
         try:
             state["vcek"] = pcs.get_pck_certificate(
                 quote.platform_id, quote.tee_tcb_svn
@@ -501,7 +481,7 @@ class TdxStepProvider(StepProvider):
         except (TdxError, LookupError):
             return []  # the endorsement_fetch step reports unknown_platform
         jobs = _chain_signature_jobs(
-            [state["vcek"], *state["chain"]], list(self._anchors(policy, trust))
+            [state["vcek"], *state["chain"]], list(self._anchors(policy, context))
         )
         if quote.signature:
             jobs.append(
@@ -513,8 +493,7 @@ class TdxStepProvider(StepProvider):
     def authenticity_steps(self, quote, now, policy, context, state):
         from ..tdx.module import TdxError
 
-        trust = _tdx_trust(context)
-        pcs = trust.pcs
+        pcs = context.pcs
 
         def endorsement_fetch():
             if state["vcek"] is not None and state["chain"] is not None:
@@ -531,7 +510,7 @@ class TdxStepProvider(StepProvider):
 
         yield STEP_ENDORSEMENT_FETCH, endorsement_fetch
 
-        anchors = self._anchors(policy, trust)
+        anchors = self._anchors(policy, context)
 
         def cert_chain():
             try:
@@ -612,14 +591,13 @@ class CcaStepProvider(StepProvider):
         from ..cca.realms import CcaError
         from ..crypto.ecdsa import EcdsaPublicKey, SignatureError
 
-        trust = _cca_trust(context)
         realm = token.realm_token
         platform = token.platform_token
         try:
-            state["vcek"] = trust.cpak_lookup(platform.platform_id)
+            state["vcek"] = context.cpak_lookup(platform.platform_id)
         except (CcaError, LookupError):
             return []  # the endorsement_fetch step reports unknown_platform
-        anchors = policy.trust_anchors or tuple(trust.trust_anchors)
+        anchors = policy.trust_anchors or tuple(context.trust_anchors)
         jobs = _chain_signature_jobs([state["vcek"]], list(anchors))
         if platform.signature:
             jobs.append(
@@ -640,7 +618,6 @@ class CcaStepProvider(StepProvider):
         from ..cca.realms import CcaError
         from ..crypto.ecdsa import EcdsaPublicKey
 
-        trust = _cca_trust(context)
         realm = token.realm_token
         platform = token.platform_token
 
@@ -648,7 +625,7 @@ class CcaStepProvider(StepProvider):
             if state["vcek"] is not None:
                 return  # the verify-farm prepare pass already fetched
             try:
-                state["vcek"] = trust.cpak_lookup(platform.platform_id)
+                state["vcek"] = context.cpak_lookup(platform.platform_id)
             except (CcaError, LookupError) as exc:
                 raise AttestationError(
                     "unknown_platform", f"no CPAK for this platform: {exc}"
@@ -656,7 +633,7 @@ class CcaStepProvider(StepProvider):
 
         yield STEP_ENDORSEMENT_FETCH, endorsement_fetch
 
-        anchors = policy.trust_anchors or tuple(trust.trust_anchors)
+        anchors = policy.trust_anchors or tuple(context.trust_anchors)
 
         def cert_chain():
             try:
@@ -759,13 +736,12 @@ class VtpmStepProvider(StepProvider):
         # The TPM quote signature (STEP_QUOTE_SIGNATURE) uses the
         # quote's own composite verify and is not batchable here.
         return _snp_signature_jobs(
-            evidence.ak_endorsement, policy, _vtpm_trust(context).kds, state
+            evidence.ak_endorsement, policy, context.kds, state
         )
 
     def authenticity_steps(self, evidence, now, policy, context, state):
         yield from _snp_report_steps(
-            evidence.ak_endorsement, now, policy, _vtpm_trust(context).kds,
-            state,
+            evidence.ak_endorsement, now, policy, context.kds, state
         )
 
         def ak_endorsement():
@@ -782,8 +758,6 @@ class VtpmStepProvider(StepProvider):
 
     def runtime_steps(self, evidence, context):
         from ..vtpm.vtpm import PCR_SERVICES, VtpmError, replay_event_log
-
-        trust = _vtpm_trust(context)
 
         def quote_signature():
             if not evidence.quote.verify(evidence.ak_public):
@@ -813,13 +787,13 @@ class VtpmStepProvider(StepProvider):
             for entry in evidence.event_log:
                 if entry.pcr_index != PCR_SERVICES:
                     continue
-                if entry.digest not in trust.allowed_service_digests:
+                if entry.digest not in context.allowed_service_digests:
                     raise AttestationError(
                         "service_not_allowed",
                         f"unapproved runtime event: {entry.description!r}",
                     )
 
-        if trust.allowed_service_digests is not None:
+        if context.allowed_service_digests is not None:
             yield STEP_SERVICE_ALLOWLIST, service_allowlist
 
 

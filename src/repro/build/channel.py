@@ -397,6 +397,6 @@ class UpdateClient:
                 self._apply_cache[cache_key] = applied
         self.epoch = manifest.epoch
         tracer.update.record_apply(
-            delta.delta_bytes(), len(applied.disk_image), cached=cache_hit
+            len(blob), len(applied.disk_image), cached=cache_hit
         )
         return applied

@@ -14,8 +14,9 @@ tokens** —
 
 The verifier checks the platform token against the ARM trust anchor,
 checks the RAK binding, then verifies the realm token with the RAK —
-reproducing the CCA token-chaining design faithfully enough that the
-``repro.tee`` layer treats it as just another evidence kind.
+reproducing the CCA token-chaining design faithfully enough that
+:mod:`repro.attest` treats it as just another
+:class:`~repro.attest.Evidence` family.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .guest import (
     GuestError,
     RevelioNode,
     VmIdentity,
-    decode_attestation_payload,
     golden_measurements_for,
 )
 from .kds_client import KdsClient
@@ -104,7 +103,6 @@ __all__ = [
     "Verdict",
     "VmIdentity",
     "WELL_KNOWN_ATTESTATION_PATH",
-    "decode_attestation_payload",
     "decrypt_with_private_key",
     "default_app",
     "encrypt_to_public_key",

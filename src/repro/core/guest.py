@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..amd.report import AttestationReport
 from ..amd.verify import AttestationError
-from ..attest import AttestationVerifier, Evidence, EvidenceError, TeeFamily
+from ..attest import AttestationVerifier, Evidence, EvidenceError, snp_evidence
 from ..build.image_builder import (
     GOLDEN_CONF_PATH,
     NETWORK_CONF_PATH,
@@ -431,37 +431,20 @@ class RevelioNode:
     # -- end-user-facing endpoint -------------------------------------------------
 
     def _serve_attestation(self, request: HttpRequest, context) -> HttpResponse:
-        """The well-known URL: the attestation report binding the TLS
-        identity of this very server to its measured state."""
+        """The well-known URL: the SEV-SNP evidence envelope around the
+        attestation report binding the TLS identity of this very server
+        to its measured state."""
         if self.tls_report is None:
             return HttpResponse.not_found()
-        payload = encoding.encode({"report": self.tls_report.encode()})
+        payload = snp_evidence(self.tls_report).encode()
         return HttpResponse.ok(payload, "application/octet-stream")
 
 
-def decode_attestation_payload(body: bytes) -> AttestationReport:
-    """Parse the well-known endpoint's response body."""
-    decoded = encoding.decode(body)
-    if not isinstance(decoded, dict) or "report" not in decoded:
-        raise GuestError("malformed attestation payload")
-    return AttestationReport.decode(decoded["report"])
-
-
 def decode_attestation_evidence(body: bytes) -> Evidence:
-    """Parse a well-known endpoint's response body into the engine's
-    tagged envelope.  Legacy SNP nodes serve ``{"report": ...}``; other
-    TEE families serve an encoded :class:`~repro.attest.Evidence`
+    """Parse a well-known endpoint's response body: every node, whatever
+    its TEE family, serves an encoded :class:`~repro.attest.Evidence`
     (``{"family": ..., "body": ...}``)."""
     try:
-        decoded = encoding.decode(body)
-    except ValueError as exc:
-        raise GuestError("malformed attestation payload") from exc
-    if isinstance(decoded, dict):
-        if "report" in decoded:
-            return Evidence(TeeFamily.SEV_SNP, decoded["report"])
-        if "family" in decoded and "body" in decoded:
-            try:
-                return Evidence(decoded["family"], decoded["body"])
-            except EvidenceError as exc:
-                raise GuestError(f"malformed attestation payload: {exc}") from exc
-    raise GuestError("malformed attestation payload")
+        return Evidence.decode(body)
+    except EvidenceError as exc:
+        raise GuestError(f"malformed attestation payload: {exc}") from exc

@@ -21,8 +21,12 @@ from typing import Iterable, Optional
 
 from ..amd.report import AttestationReport
 from ..amd.tcb import TcbVersion
-from ..amd.verify import VerifiedReport
-from ..attest import AttestationVerifier, VerificationPolicy
+from ..attest import (
+    AttestationVerifier,
+    VerificationOutcome,
+    VerificationPolicy,
+    snp_evidence,
+)
 from ..crypto import encoding
 from ..crypto.drbg import HmacDrbg
 from ..crypto.ec import P256
@@ -106,22 +110,25 @@ def verify_report_bundle(
     allowed_chip_ids: Optional[Iterable[bytes]] = None,
     minimum_tcb: Optional[TcbVersion] = None,
     verifier: Optional[AttestationVerifier] = None,
-) -> VerifiedReport:
+) -> VerificationOutcome:
     """Full bundle verification through the unified pipeline: KDS chain
     + signature + measurement against the golden set + REPORT_DATA/
     payload binding.
 
     Callers that hold their own :class:`AttestationVerifier` (for a
     per-site trace label) pass it as *verifier*; otherwise one is built
-    over *kds*.  Raises :class:`~repro.amd.verify.AttestationError`
-    with the failing step's stable reason code.
+    over *kds*.  Returns the passing outcome; raises
+    :class:`~repro.amd.verify.AttestationError` with the failing step's
+    stable reason code.
     """
     if verifier is None:
         verifier = AttestationVerifier(kds, site="key_sharing")
     policy = bundle_policy(
         bundle, expected_measurements, allowed_chip_ids, minimum_tcb
     )
-    return verifier.verify_or_raise(bundle.report, now, policy=policy)
+    outcome = verifier.verify(snp_evidence(bundle.report), now, policy=policy)
+    outcome.raise_for_failure()
+    return outcome
 
 
 # -- ECIES-style hybrid encryption -------------------------------------------

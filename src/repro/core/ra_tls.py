@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from ..amd.report import AttestationReport
 from ..amd.tcb import TcbVersion
-from ..attest import AttestationVerifier, VerificationPolicy
+from ..attest import AttestationVerifier, VerificationPolicy, snp_evidence
 from ..crypto.drbg import HmacDrbg
 from ..crypto.keys import PrivateKey
 from ..crypto.x509 import Certificate, Name
@@ -133,7 +133,7 @@ def validate_ra_tls_certificate(
         allowed_chip_ids=allowed_chip_ids,
         minimum_tcb=minimum_tcb,
     )
-    outcome = verifier.verify(report, now=now, policy=policy)
+    outcome = verifier.verify(snp_evidence(report), now=now, policy=policy)
     if not outcome.ok:
         if outcome.reason == "report_data_mismatch":
             raise RaTlsError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..amd.verify import AttestationError
-from ..attest import AttestationVerifier
+from ..attest import AttestationVerifier, snp_evidence
 from ..crypto import encoding
 from ..crypto.x509 import Certificate, CertificateSigningRequest
 from ..net.http import HttpRequest, HttpResponse
@@ -132,11 +132,11 @@ class ServiceProviderNode:
             ),
             revoked_measurements=tuple(sorted(self.revoked_measurements)),
         )
-        self.verifier.verify_or_raise(
-            bundle.report,
+        self.verifier.verify(
+            snp_evidence(bundle.report),
             now=self.host.network.clock.epoch_seconds(),
             policy=policy,
-        )
+        ).raise_for_failure()
         csr = CertificateSigningRequest.decode(bundle.payload)
         if not csr.verify():
             raise ProvisioningError(f"node {node_ip} sent a CSR failing PoP")

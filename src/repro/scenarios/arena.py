@@ -29,7 +29,6 @@ from ..amd.policy import GuestPolicy
 from ..attest import (
     AttestationVerifier,
     CcaTrust,
-    Evidence,
     TdxTrust,
     TeeFamily,
     VerifyFarm,
@@ -286,9 +285,6 @@ class PipelineWorld:
                 hashlib.sha256(vtpm.ak_public.encode()).digest()
             )
         )
-
-    def snp_evidence(self, report) -> Evidence:
-        return Evidence(str(TeeFamily.SEV_SNP), report.encode())
 
 
 class LaunchWorld:

@@ -43,7 +43,16 @@ from typing import Callable, Dict, Optional, Type
 
 from ..amd.policy import GuestPolicy
 from ..amd.tcb import TcbVersion
-from ..attest import AMD_FAMILIES, AttestationVerifier, Evidence, TeeFamily
+from ..attest import (
+    AMD_FAMILIES,
+    AttestationVerifier,
+    Evidence,
+    TeeFamily,
+    cca_evidence,
+    snp_evidence,
+    tdx_evidence,
+    vtpm_evidence,
+)
 from ..cca.realms import CcaToken
 from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
 from ..crypto import ec, encoding, sigcache
@@ -403,7 +412,7 @@ class RogueBackend(Injection):
             self._make_golden(guest.measurement)
         # tampered_image / wrong_family / forged_signature /
         # debug_guest / foreign_chip: measurement stays un-golden.
-        return encoding.encode({"report": report.encode()}), 200
+        return snp_evidence(report).encode(), 200
 
     def _make_golden(self, measurement: bytes) -> None:
         goldens = self.world.gateway.golden_measurements
@@ -459,9 +468,9 @@ class CertMisissuance(Injection):
     def inject(self) -> None:
         world = self.world
         self._ip = world.next_rogue_ip()
-        replayed = encoding.encode(
-            {"report": world.node_for(world.node_ips[0]).node.tls_report.encode()}
-        )
+        replayed = snp_evidence(
+            world.node_for(world.node_ips[0]).node.tls_report
+        ).encode()
         if self.params.get("impostor", True):
             from ..crypto.keys import PrivateKey
             key = PrivateKey.generate_ecdsa(
@@ -695,8 +704,7 @@ class PipelineAttack(Injection):
 
     def _vtpm_evidence(self, world, vtpm: Vtpm, quote=None, event_log=None,
                        endorsement=None) -> Evidence:
-        return Evidence(
-            str(TeeFamily.VTPM),
+        return vtpm_evidence(
             MonitoringEvidence(
                 quote=quote if quote is not None
                 else vtpm.quote(world.binding, [PCR_SERVICES]),
@@ -709,7 +717,7 @@ class PipelineAttack(Injection):
                     endorsement if endorsement is not None
                     else world.ak_endorsement(vtpm)
                 ),
-            ).encode(),
+            )
         )
 
     def _case(self, world, mode: str):
@@ -718,18 +726,14 @@ class PipelineAttack(Injection):
         binding = world.binding
 
         if mode == "honest_snp":
-            evidence = world.snp_evidence(world.guest.get_report(binding))
+            evidence = snp_evidence(world.guest.get_report(binding))
         elif mode == "honest_tdx":
-            evidence = Evidence(
-                str(TeeFamily.TDX), world.td.get_quote(binding).encode()
-            )
+            evidence = tdx_evidence(world.td.get_quote(binding))
             policy = self._policy(
                 world, golden_measurements=(world.td.mrtd,)
             )
         elif mode == "honest_cca":
-            evidence = Evidence(
-                str(TeeFamily.CCA), world.realm.attest(binding).encode()
-            )
+            evidence = cca_evidence(world.realm.attest(binding))
             policy = self._policy(
                 world, golden_measurements=(world.realm.rim,)
             )
@@ -741,25 +745,23 @@ class PipelineAttack(Injection):
                 str(TeeFamily.SEV_SNP), b"\x00not-a-report"
             )
         elif mode == "family_not_allowed":
-            evidence = world.snp_evidence(world.guest.get_report(binding))
+            evidence = snp_evidence(world.guest.get_report(binding))
             policy = self._policy(
                 world, allowed_families=(str(TeeFamily.TDX),)
             )
         elif mode == "no_trust_context":
-            evidence = Evidence(
-                str(TeeFamily.TDX), world.td.get_quote(binding).encode()
-            )
+            evidence = tdx_evidence(world.td.get_quote(binding))
             verifier = world.make_verifier(contexts={})
         elif mode == "unknown_platform":
             serial = "pipeline-foreign"
             guest = world.foreign_amd().provision_chip(serial).launch_vm(
                 b"scenario-snp-image", GuestPolicy()
             )
-            evidence = world.snp_evidence(guest.get_report(binding))
+            evidence = snp_evidence(guest.get_report(binding))
         elif mode == "bad_cert_chain":
             from ..amd.kds import KeyDistributionServer
             fake = KeyDistributionServer(world.foreign_amd())
-            evidence = world.snp_evidence(world.guest.get_report(binding))
+            evidence = snp_evidence(world.guest.get_report(binding))
             policy = self._policy(
                 world, trust_anchors=(fake.ark_certificate,)
             )
@@ -771,9 +773,9 @@ class PipelineAttack(Injection):
             verifier = world.make_verifier(
                 kds=_SubstituteVcek(world.kds, wrong_vcek)
             )
-            evidence = world.snp_evidence(report)
+            evidence = snp_evidence(report)
         elif mode == "chip_id_not_allowed":
-            evidence = world.snp_evidence(world.guest.get_report(binding))
+            evidence = snp_evidence(world.guest.get_report(binding))
             policy = self._policy(
                 world, allowed_chip_ids=(world.other_chip.chip_id,)
             )
@@ -785,9 +787,9 @@ class PipelineAttack(Injection):
             verifier = world.make_verifier(
                 kds=_SubstituteVcek(world.kds, stale_vcek)
             )
-            evidence = world.snp_evidence(report)
+            evidence = snp_evidence(report)
         elif mode == "tcb_too_old":
-            evidence = world.snp_evidence(world.guest.get_report(binding))
+            evidence = snp_evidence(world.guest.get_report(binding))
             policy = self._policy(
                 world, minimum_tcb=TcbVersion(99, 99, 99, 255)
             )
@@ -795,11 +797,9 @@ class PipelineAttack(Injection):
             guest = world.chip.launch_vm(
                 b"scenario-snp-image", GuestPolicy(debug_allowed=True)
             )
-            evidence = world.snp_evidence(guest.get_report(binding))
+            evidence = snp_evidence(guest.get_report(binding))
         elif mode == "tdx_tcb_floor":
-            evidence = Evidence(
-                str(TeeFamily.TDX), world.td.get_quote(binding).encode()
-            )
+            evidence = tdx_evidence(world.td.get_quote(binding))
             policy = self._policy(
                 world, golden_measurements=(world.td.mrtd,), minimum_tcb=99
             )
@@ -810,7 +810,7 @@ class PipelineAttack(Injection):
                 token = world.realm.attest(binding)
             finally:
                 world.cca_platform.lifecycle_state = previous
-            evidence = Evidence(str(TeeFamily.CCA), token.encode())
+            evidence = cca_evidence(token)
             policy = self._policy(
                 world, golden_measurements=(world.realm.rim,)
             )
@@ -823,7 +823,7 @@ class PipelineAttack(Injection):
                 realm_token=token_a.realm_token,
                 platform_token=token_b.platform_token,
             )
-            evidence = Evidence(str(TeeFamily.CCA), forged.encode())
+            evidence = cca_evidence(forged)
             policy = self._policy(
                 world, golden_measurements=(world.realm.rim,)
             )

@@ -9,8 +9,9 @@ quote signed by the platform's quoting key), and its certificate
 hierarchy (Intel SGX Root CA -> PCK Platform CA -> per-platform PCK),
 served by a simulated Provisioning Certification Service (PCS).
 
-``repro.tee`` exposes the common verification surface over both SNP
-reports and TDX quotes.
+:mod:`repro.attest` verifies both SNP reports and TDX quotes through
+one engine: :class:`~repro.attest.AttestationVerifier` over the
+:class:`~repro.attest.Evidence` envelope.
 """
 
 from __future__ import annotations

@@ -6,9 +6,21 @@ from repro.amd.kds import KdsError, KeyDistributionServer
 from repro.amd.policy import REVELIO_POLICY, GuestPolicy
 from repro.amd.secure_processor import AmdKeyInfrastructure
 from repro.amd.tcb import TcbVersion
-from repro.amd.verify import AttestationError, verify_attestation_report
+from repro.amd.verify import AttestationError
+from repro.attest import (
+    STEP_CHIP_ID_ALLOWLIST,
+    STEP_MEASUREMENT,
+    STEP_REPORT_DATA,
+    STEP_TCB_FLOOR,
+    AttestationVerifier,
+    VerificationPolicy,
+    snp_evidence,
+)
+from repro.core.kds_client import KdsClient
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.x509 import validate_chain
+from repro.net.latency import ZERO_LATENCY, SimClock
+from tests.attest.test_failure_matrix import SubstituteVcekKds
 
 NOW = 1_000_000
 
@@ -33,16 +45,18 @@ def guest(chip):
     return chip.launch_vm(b"revelio-firmware", REVELIO_POLICY)
 
 
-def _verify(report, kds, chip, **kwargs):
-    vcek = kds.get_vcek_certificate(chip.chip_id, report.reported_tcb)
-    return verify_attestation_report(
-        report,
-        vcek,
-        kds.cert_chain(),
-        [kds.ark_certificate],
-        now=NOW,
-        **kwargs,
+def _client(kds):
+    return KdsClient(kds, SimClock(), ZERO_LATENCY)
+
+
+def _verify(report, client, now=NOW, **policy):
+    """Run the engine on *report*; raise the failing step's
+    :class:`AttestationError`, return the passing outcome."""
+    outcome = AttestationVerifier(client).verify(
+        snp_evidence(report), now=now, policy=VerificationPolicy(**policy)
     )
+    outcome.raise_for_failure()
+    return outcome
 
 
 class TestKds:
@@ -75,66 +89,69 @@ class TestKds:
 class TestVerifyHappyPath:
     def test_full_verification(self, kds, chip, guest):
         report = guest.get_report(b"\x11" * 64)
-        verified = _verify(
+        outcome = _verify(
             report,
-            kds,
-            chip,
-            expected_measurement=guest.measurement,
+            _client(kds),
+            golden_measurements=(guest.measurement,),
             expected_report_data=b"\x11" * 64,
-            allowed_chip_ids=[chip.chip_id],
+            allowed_chip_ids=(chip.chip_id,),
             minimum_tcb=TcbVersion(1, 0, 0, 0),
         )
-        assert verified.checked_measurement
-        assert verified.checked_report_data
-        assert verified.checked_chip_id
+        for name in (
+            STEP_MEASUREMENT, STEP_REPORT_DATA, STEP_CHIP_ID_ALLOWLIST,
+            STEP_TCB_FLOOR,
+        ):
+            assert outcome.step(name).passed
 
-    def test_minimal_verification(self, kds, chip, guest):
+    def test_minimal_verification(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
-        verified = _verify(report, kds, chip)
-        assert not verified.checked_measurement
+        outcome = _verify(report, _client(kds))
+        assert outcome.step(STEP_MEASUREMENT) is None
 
 
 class TestVerifyFailures:
-    def test_wrong_measurement(self, kds, chip, guest):
+    def test_wrong_measurement(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, kds, chip, expected_measurement=b"\xff" * 48)
+            _verify(report, _client(kds), golden_measurements=(b"\xff" * 48,))
         assert excinfo.value.reason == "measurement_mismatch"
 
-    def test_wrong_report_data(self, kds, chip, guest):
+    def test_wrong_report_data(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, kds, chip, expected_report_data=b"\xff" * 64)
+            _verify(report, _client(kds), expected_report_data=b"\xff" * 64)
         assert excinfo.value.reason == "report_data_mismatch"
 
-    def test_chip_not_on_allowlist(self, kds, chip, guest):
+    def test_chip_not_on_allowlist(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, kds, chip, allowed_chip_ids=[b"\xaa" * 64])
+            _verify(report, _client(kds), allowed_chip_ids=(b"\xaa" * 64,))
         assert excinfo.value.reason == "chip_id_not_allowed"
 
-    def test_tcb_too_old(self, kds, chip, guest):
+    def test_tcb_too_old(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, kds, chip, minimum_tcb=TcbVersion(255, 255, 255, 255))
+            _verify(
+                report, _client(kds), minimum_tcb=TcbVersion(255, 255, 255, 255)
+            )
         assert excinfo.value.reason == "tcb_too_old"
 
     def test_debug_guest_rejected(self, kds, chip):
         debug_guest = chip.launch_vm(b"fw", GuestPolicy(debug_allowed=True))
         report = debug_guest.get_report(b"\x00" * 64)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, kds, chip)
+            _verify(report, _client(kds))
         assert excinfo.value.reason == "debug_policy"
         # ... unless the verifier explicitly allows debug guests.
-        _verify(report, kds, chip, allow_debug=True)
+        _verify(report, _client(kds), allow_debug=True)
 
-    def test_tampered_report_signature(self, kds, chip, guest):
+    def test_tampered_report_signature(self, kds, guest):
         from dataclasses import replace
 
         report = guest.get_report(b"\x00" * 64)
         tampered = replace(report, measurement=b"\xee" * 48)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(tampered, kds, chip)
+            _verify(tampered, _client(kds))
         assert excinfo.value.reason == "bad_signature"
 
     def test_vcek_for_other_chip_rejected(self, kds, amd, guest):
@@ -142,13 +159,7 @@ class TestVerifyFailures:
         report = guest.get_report(b"\x00" * 64)
         wrong_vcek = kds.get_vcek_certificate(other_chip.chip_id, report.reported_tcb)
         with pytest.raises(AttestationError) as excinfo:
-            verify_attestation_report(
-                report,
-                wrong_vcek,
-                kds.cert_chain(),
-                [kds.ark_certificate],
-                now=NOW,
-            )
+            _verify(report, SubstituteVcekKds(_client(kds), wrong_vcek))
         assert excinfo.value.reason == "chip_id_mismatch"
 
     def test_forged_root_rejected(self, kds, chip, guest):
@@ -159,27 +170,17 @@ class TestVerifyFailures:
         fake_chip = fake_amd.provision_chip("fake-chip")
         fake_guest = fake_chip.launch_vm(b"revelio-firmware", REVELIO_POLICY)
         report = fake_guest.get_report(b"\x00" * 64)
-        fake_vcek = fake_kds.get_vcek_certificate(
-            fake_chip.chip_id, report.reported_tcb
-        )
         with pytest.raises(AttestationError) as excinfo:
-            verify_attestation_report(
+            _verify(
                 report,
-                fake_vcek,
-                fake_kds.cert_chain(),
-                [kds.ark_certificate],  # genuine anchor
-                now=NOW,
+                _client(fake_kds),
+                trust_anchors=(kds.ark_certificate,),  # genuine anchor
             )
         assert excinfo.value.reason == "bad_cert_chain"
 
-    def test_report_from_expired_chain_perspective(self, kds, chip, guest):
+    def test_report_from_expired_chain_perspective(self, kds, guest):
         report = guest.get_report(b"\x00" * 64)
-        vcek = kds.get_vcek_certificate(chip.chip_id, report.reported_tcb)
-        with pytest.raises(AttestationError):
-            verify_attestation_report(
-                report,
-                vcek,
-                kds.cert_chain(),
-                [kds.ark_certificate],
-                now=2**63,  # beyond certificate validity
-            )
+        with pytest.raises(AttestationError) as excinfo:
+            # beyond certificate validity
+            _verify(report, _client(kds), now=2**63)
+        assert excinfo.value.reason == "bad_cert_chain"

@@ -2,8 +2,8 @@
 
 Each case injects one fault and drives it through the unified pipeline,
 asserting the outcome carries the expected stable reason code; a second
-set asserts the migrated call sites (key sharing, RA-TLS, TEE dispatch)
-surface the *same* code.
+set asserts the migrated call sites (key sharing, RA-TLS, evidence
+dispatch) surface the *same* code.
 """
 
 from dataclasses import replace
@@ -19,6 +19,7 @@ from repro.attest import (
     AttestationTracer,
     AttestationVerifier,
     VerificationPolicy,
+    snp_evidence,
 )
 from repro.core.kds_client import KdsClient
 from repro.crypto.drbg import HmacDrbg
@@ -186,7 +187,8 @@ def test_reason_code_through_pipeline(world, code):
     tracer = AttestationTracer()
     verifier = AttestationVerifier(kds, tracer=tracer, site=f"matrix:{code}")
 
-    outcome = verifier.verify(report, now=NOW, policy=policy)
+    evidence = snp_evidence(report)
+    outcome = verifier.verify(evidence, now=NOW, policy=policy)
     assert not outcome.ok
     assert outcome.reason == code
     failing = outcome.steps[-1]
@@ -198,9 +200,9 @@ def test_reason_code_through_pipeline(world, code):
     assert tracer.counters.failures_by_reason == {code: 1}
     assert tracer.ring.events[-1].reason == code
 
-    # The raising entry point surfaces the identical stable code.
+    # Raising surfaces the identical stable code.
     with pytest.raises(AttestationError) as excinfo:
-        verifier.verify_or_raise(report, now=NOW, policy=policy)
+        outcome.raise_for_failure()
     assert excinfo.value.reason == code
 
 
@@ -282,12 +284,15 @@ class TestCallSiteParity:
         assert excinfo.value.reason == "report_data_mismatch"
 
     def test_tee_dispatch(self, world):
-        from repro.tee import KIND_SEV_SNP, TeeError, TeeVerifier, snp_evidence
-
-        verifier = TeeVerifier({KIND_SEV_SNP: world["client"]})
+        verifier = AttestationVerifier(world["client"], site="dispatch")
         evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
-        with pytest.raises(TeeError, match="measurement_mismatch"):
-            verifier.verify(evidence, NOW, [b"\xff" * 48])
+        outcome = verifier.verify(
+            evidence, NOW,
+            policy=VerificationPolicy(golden_measurements=[b"\xff" * 48]),
+        )
+        with pytest.raises(AttestationError) as excinfo:
+            outcome.raise_for_failure()
+        assert excinfo.value.reason == "measurement_mismatch"
 
     def test_tcb_too_old_shared_code(self, world):
         from repro.core.key_sharing import (

@@ -17,6 +17,7 @@ from repro.attest import (
     AttestationVerifier,
     VerificationPolicy,
     VerifyFarm,
+    snp_evidence,
 )
 from repro.core.kds_client import KdsClient
 from repro.crypto import sigcache
@@ -152,8 +153,8 @@ class TestPipelineWiring:
         farm = VerifyFarm(clock=clock, latency=client.latency,
                           tracer=tracer)
         verifier = AttestationVerifier(client, tracer=tracer, farm=farm)
-        report = guest.get_report(REPORT_DATA)
-        outcome = verifier.verify(report, now=NOW)
+        evidence = snp_evidence(guest.get_report(REPORT_DATA))
+        outcome = verifier.verify(evidence, now=NOW)
         assert outcome.ok
         assert outcome.steps[0].name == STEP_BATCH_PREPARE
         assert "3 signature job(s)" in outcome.steps[0].detail
@@ -171,10 +172,10 @@ class TestPipelineWiring:
         tracer = AttestationTracer()
         farm = VerifyFarm(clock=clock, latency=client.latency, tracer=tracer)
         verifier = AttestationVerifier(client, tracer=tracer, farm=farm)
-        report = guest.get_report(REPORT_DATA)
+        evidence = snp_evidence(guest.get_report(REPORT_DATA))
         sigcache.set_enabled(False)
         try:
-            outcome = verifier.verify(report, now=NOW)
+            outcome = verifier.verify(evidence, now=NOW)
         finally:
             sigcache.set_enabled(True)
         assert outcome.ok
@@ -191,7 +192,7 @@ class TestPipelineWiring:
         report = replace(
             guest.get_report(REPORT_DATA), measurement=b"\xee" * 48
         )
-        outcome = verifier.verify(report, now=NOW)
+        outcome = verifier.verify(snp_evidence(report), now=NOW)
         assert not outcome.ok
         assert outcome.reason == "bad_signature"
 
@@ -204,8 +205,8 @@ class TestPipelineWiring:
         farm = VerifyFarm(clock=clock, latency=client.latency, max_batch=64,
                           tracer=tracer)
         verifier = AttestationVerifier(client, tracer=tracer, farm=farm)
-        reports = [g.get_report(REPORT_DATA) for g in guests]
-        outcomes = verifier.verify_batch(reports, now=NOW)
+        evidences = [snp_evidence(g.get_report(REPORT_DATA)) for g in guests]
+        outcomes = verifier.verify_batch(evidences, now=NOW)
         assert all(outcome.ok for outcome in outcomes)
         # 4 reports x (2 chain links + report sig) land in one flush;
         # the shared VCEK->ASK->ARK links dedup inside the batch.
@@ -217,7 +218,7 @@ class TestPipelineWiring:
         _, _, guest, _, client = make_world()
         verifier = AttestationVerifier(client, tracer=AttestationTracer())
         outcomes = verifier.verify_batch(
-            [guest.get_report(REPORT_DATA)] * 2, now=NOW
+            [snp_evidence(guest.get_report(REPORT_DATA))] * 2, now=NOW
         )
         assert all(outcome.ok for outcome in outcomes)
 
@@ -226,7 +227,7 @@ class TestPipelineWiring:
         verifier = AttestationVerifier(client, tracer=AttestationTracer())
         with pytest.raises(ValueError, match="one-to-one"):
             verifier.verify_batch(
-                [guest.get_report(REPORT_DATA)], now=NOW,
+                [snp_evidence(guest.get_report(REPORT_DATA))], now=NOW,
                 policies=[VerificationPolicy(), VerificationPolicy()],
             )
 
@@ -248,10 +249,13 @@ class TestDeterminism:
                               seed=b"det-farm", tracer=tracer)
             verifier = AttestationVerifier(client, tracer=tracer, farm=farm)
             verifier.verify_batch(
-                [g.get_report(REPORT_DATA) for g in guests], now=NOW
+                [snp_evidence(g.get_report(REPORT_DATA)) for g in guests],
+                now=NOW,
             )
             for guest in guests:  # warm re-verify exercises serve paths
-                verifier.verify(guest.get_report(REPORT_DATA), now=NOW)
+                verifier.verify(
+                    snp_evidence(guest.get_report(REPORT_DATA)), now=NOW
+                )
             snapshots.append(
                 json.dumps(tracer.farm.snapshot(), sort_keys=True)
             )

@@ -12,6 +12,7 @@ from repro.attest import (
     STEP_CHIP_ID_ALLOWLIST,
     STEP_CHIP_ID_BINDING,
     STEP_DEBUG_POLICY,
+    STEP_EVIDENCE_DECODE,
     STEP_MEASUREMENT,
     STEP_REPORT_DATA,
     STEP_REVOCATION,
@@ -25,6 +26,7 @@ from repro.attest import (
     VerificationPolicy,
     get_tracer,
     reset_tracer,
+    snp_evidence,
 )
 from repro.core.kds_client import KdsClient
 from repro.crypto.drbg import HmacDrbg
@@ -75,10 +77,11 @@ def full_policy(world, **overrides):
 class TestHappyPath:
     def test_minimal_policy_runs_mandatory_steps_only(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
-        outcome = verifier.verify(report, now=NOW)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        outcome = verifier.verify(evidence, now=NOW)
         assert outcome.ok and outcome.verdict == "pass"
         assert [s.name for s in outcome.steps] == [
+            STEP_EVIDENCE_DECODE,
             STEP_VCEK_FETCH,
             STEP_CERT_CHAIN,
             STEP_CHIP_ID_BINDING,
@@ -92,10 +95,11 @@ class TestHappyPath:
 
     def test_full_policy_runs_every_step_in_order(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
-        outcome = verifier.verify(report, now=NOW, policy=full_policy(world))
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        outcome = verifier.verify(evidence, now=NOW, policy=full_policy(world))
         assert outcome.ok
         assert [s.name for s in outcome.steps] == [
+            STEP_EVIDENCE_DECODE,
             STEP_REVOCATION,
             STEP_VCEK_FETCH,
             STEP_CERT_CHAIN,
@@ -109,23 +113,12 @@ class TestHappyPath:
             STEP_TCB_FLOOR,
         ]
 
-    def test_verify_or_raise_returns_legacy_verified_report(self, world):
-        verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
-        verified = verifier.verify_or_raise(
-            report, now=NOW, policy=full_policy(world)
-        )
-        assert verified.checked_measurement
-        assert verified.checked_report_data
-        assert verified.checked_chip_id
-        assert verified.vcek_certificate is not None
-
     def test_vcek_fetch_costs_one_round_trip(self, world):
         """The chain rides along with the VCEK response: one trip total,
         plus the calibrated crypto prices on the signature-bearing steps."""
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
-        outcome = verifier.verify(report, now=NOW, policy=full_policy(world))
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        outcome = verifier.verify(evidence, now=NOW, policy=full_policy(world))
         fetch = outcome.step(STEP_VCEK_FETCH)
         assert fetch.sim_cost == pytest.approx(KDS_TRIP)
         assert outcome.step(STEP_SIGNATURE).sim_cost == pytest.approx(0.008)
@@ -141,9 +134,9 @@ class TestHappyPath:
         """A warm rerun pays no KDS trip and its signature/chain steps
         are served from the verification cache at the discounted rate."""
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
-        cold = verifier.verify(report, now=NOW)
-        warm = verifier.verify(report, now=NOW)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        cold = verifier.verify(evidence, now=NOW)
+        warm = verifier.verify(evidence, now=NOW)
         assert warm.step(STEP_VCEK_FETCH).sim_cost == 0.0
         assert warm.step(STEP_SIGNATURE).sim_cost == pytest.approx(
             0.008 * CACHED_DISCOUNT
@@ -157,9 +150,9 @@ class TestHappyPath:
 class TestFailureOutcomes:
     def test_failure_stops_pipeline_and_records_reason(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
         policy = full_policy(world, golden_measurements=(b"\xff" * 48,))
-        outcome = verifier.verify(report, now=NOW, policy=policy)
+        outcome = verifier.verify(evidence, now=NOW, policy=policy)
         assert not outcome.ok and outcome.verdict == "fail"
         assert outcome.steps[-1].name == STEP_MEASUREMENT
         assert not outcome.steps[-1].passed
@@ -173,33 +166,33 @@ class TestFailureOutcomes:
 
     def test_raise_for_failure_carries_stable_code(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
         policy = full_policy(world, expected_report_data=b"\xff" * 64)
-        outcome = verifier.verify(report, now=NOW, policy=policy)
+        outcome = verifier.verify(evidence, now=NOW, policy=policy)
         with pytest.raises(AttestationError) as excinfo:
             outcome.raise_for_failure()
         assert excinfo.value.reason == "report_data_mismatch"
-        with pytest.raises(AttestationError):
-            outcome.verified_report()
 
     def test_revocation_beats_golden_membership(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
         measurement = bytes(world["guest"].measurement)
         policy = full_policy(world, revoked_measurements=(measurement,))
-        outcome = verifier.verify(report, now=NOW, policy=policy)
+        outcome = verifier.verify(evidence, now=NOW, policy=policy)
         assert outcome.reason == "measurement_revoked"
         assert "revoked" in outcome.detail
         # The pipeline never reached the KDS.
-        assert [s.name for s in outcome.steps] == [STEP_REVOCATION]
+        assert [s.name for s in outcome.steps] == [
+            STEP_EVIDENCE_DECODE, STEP_REVOCATION,
+        ]
         assert outcome.sim_cost == 0.0
 
     def test_trust_anchor_override(self, world):
         fake = KeyDistributionServer(AmdKeyInfrastructure(HmacDrbg(b"fake")))
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
-        report = world["guest"].get_report(REPORT_DATA)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
         policy = full_policy(world, trust_anchors=(fake.ark_certificate,))
-        outcome = verifier.verify(report, now=NOW, policy=policy)
+        outcome = verifier.verify(evidence, now=NOW, policy=policy)
         assert outcome.reason == "bad_cert_chain"
         assert outcome.steps[-1].name == STEP_CERT_CHAIN
 
@@ -208,10 +201,10 @@ class TestTracing:
     def test_counters_aggregate_verdicts_and_reasons(self, world):
         tracer = AttestationTracer()
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
-        verifier.verify(report, now=NOW, policy=full_policy(world))
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        verifier.verify(evidence, now=NOW, policy=full_policy(world))
         verifier.verify(
-            report,
+            evidence,
             now=NOW,
             policy=full_policy(world, golden_measurements=(b"\xff" * 48,)),
         )
@@ -225,9 +218,9 @@ class TestTracing:
     def test_kds_cache_hit_rate(self, world):
         tracer = AttestationTracer()
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
-        verifier.verify(report, now=NOW)  # cold: 1 fetch (+1 chain cache hit)
-        verifier.verify(report, now=NOW)  # warm: served from cache
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        verifier.verify(evidence, now=NOW)  # cold: 1 fetch (+1 chain cache hit)
+        verifier.verify(evidence, now=NOW)  # warm: served from cache
         counters = tracer.counters
         assert counters.kds_fetches == 1
         assert counters.kds_cache_hits == 3
@@ -236,9 +229,9 @@ class TestTracing:
     def test_step_latency_histograms(self, world):
         tracer = AttestationTracer()
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
-        verifier.verify(report, now=NOW)
-        verifier.verify(report, now=NOW)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        verifier.verify(evidence, now=NOW)
+        verifier.verify(evidence, now=NOW)
         histogram = tracer.counters.step_latency[STEP_VCEK_FETCH]
         assert histogram.count == 2
         assert histogram.mean() == pytest.approx(KDS_TRIP / 2)
@@ -248,9 +241,9 @@ class TestTracing:
     def test_ring_buffer_keeps_recent_events(self, world):
         tracer = AttestationTracer(ring_capacity=2)
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
         for site in ("first", "second", "third"):
-            verifier.verify(report, now=NOW, site=site)
+            verifier.verify(evidence, now=NOW, site=site)
         assert len(tracer.ring) == 2
         assert [e.site for e in tracer.ring.events] == ["second", "third"]
         # Counters still saw everything.
@@ -268,8 +261,8 @@ class TestTracing:
         sink = Collect()
         tracer.add_sink(sink)
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
-        verifier.verify(report, now=NOW)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        verifier.verify(evidence, now=NOW)
         assert len(sink.seen) == 1
         assert sink.seen[0].verdict == "pass"
         assert sink.seen[0].kds_fetches == 1
@@ -278,8 +271,8 @@ class TestTracing:
         tracer = reset_tracer()
         try:
             verifier = AttestationVerifier(world["client"])  # no tracer given
-            report = world["guest"].get_report(REPORT_DATA)
-            verifier.verify(report, now=NOW)
+            evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+            verifier.verify(evidence, now=NOW)
             assert get_tracer() is tracer
             assert tracer.counters.verifications_by_verdict["pass"] == 1
         finally:
@@ -288,8 +281,8 @@ class TestTracing:
     def test_counter_reset(self, world):
         tracer = AttestationTracer()
         verifier = AttestationVerifier(world["client"], tracer=tracer)
-        report = world["guest"].get_report(REPORT_DATA)
-        verifier.verify(report, now=NOW)
+        evidence = snp_evidence(world["guest"].get_report(REPORT_DATA))
+        verifier.verify(evidence, now=NOW)
         tracer.counters.reset()
         assert tracer.counters.verifications_by_verdict == {}
         assert tracer.counters.kds_fetches == 0

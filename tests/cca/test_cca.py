@@ -1,9 +1,17 @@
-"""ARM CCA substrate tests + the tee-layer integration."""
+"""ARM CCA substrate tests + multi-family verification through
+:mod:`repro.attest`."""
 
 import hashlib
 
 import pytest
 
+from repro.attest import (
+    AttestationVerifier,
+    CcaTrust,
+    TeeFamily,
+    VerificationPolicy,
+    cca_evidence,
+)
 from repro.cca import (
     ArmInfrastructure,
     CcaError,
@@ -11,7 +19,6 @@ from repro.cca import (
     verify_cca_token,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.tee import KIND_CCA, TeeError, TeeVerifier, cca_evidence
 
 CHALLENGE = b"\x13" * 64
 
@@ -148,31 +155,32 @@ class TestTokens:
 class TestTeeLayer:
     def test_cca_through_generic_verifier(self, arm, platform, cpak, realm):
         cpaks = {platform.platform_id: cpak}
-        verifier = TeeVerifier(
-            {KIND_CCA: (lambda pid: cpaks[pid], [arm.root.certificate])}
+        verifier = AttestationVerifier(
+            None,
+            contexts={
+                TeeFamily.CCA: CcaTrust(
+                    lambda pid: cpaks[pid], (arm.root.certificate,)
+                )
+            },
         )
-        verified = verifier.verify(
+        outcome = verifier.verify(
             cca_evidence(realm.attest(CHALLENGE)),
             now=0,
-            expected_measurements=[realm.rim],
-            expected_report_data=CHALLENGE,
+            policy=VerificationPolicy(
+                golden_measurements=[realm.rim], expected_report_data=CHALLENGE
+            ),
         )
-        assert verified.kind == KIND_CCA
-        assert verified.measurement == realm.rim
+        assert outcome.ok and outcome.family == TeeFamily.CCA
+        assert outcome.report.realm_token.rim == realm.rim
 
     def test_all_three_technologies_coexist(self, arm, platform, cpak):
         from repro.amd.kds import KeyDistributionServer
         from repro.amd.policy import REVELIO_POLICY
         from repro.amd.secure_processor import AmdKeyInfrastructure
+        from repro.attest import TdxTrust, provider_for, snp_evidence, tdx_evidence
         from repro.core.kds_client import KdsClient
         from repro.net.latency import ZERO_LATENCY, SimClock
         from repro.tdx import IntelInfrastructure, ProvisioningCertificationService
-        from repro.tee import (
-            KIND_SEV_SNP,
-            KIND_TDX,
-            snp_evidence,
-            tdx_evidence,
-        )
 
         amd = AmdKeyInfrastructure(HmacDrbg(b"tri-amd"))
         chip = amd.provision_chip("tri-chip")
@@ -180,17 +188,14 @@ class TestTeeLayer:
         tdx_platform = intel.provision_platform("tri-tdx")
         cpaks = {platform.platform_id: cpak}
 
-        verifier = TeeVerifier(
-            {
-                KIND_SEV_SNP: KdsClient(
-                    KeyDistributionServer(amd), SimClock(), ZERO_LATENCY
+        verifier = AttestationVerifier(
+            KdsClient(KeyDistributionServer(amd), SimClock(), ZERO_LATENCY),
+            contexts={
+                TeeFamily.TDX: TdxTrust(ProvisioningCertificationService(intel)),
+                TeeFamily.CCA: CcaTrust(
+                    lambda pid: cpaks[pid], (arm.root.certificate,)
                 ),
-                KIND_TDX: ProvisioningCertificationService(intel),
-                KIND_CCA: (lambda pid: cpaks[pid], [arm.root.certificate]),
-            }
-        )
-        assert list(verifier.supported_kinds()) == sorted(
-            [KIND_SEV_SNP, KIND_TDX, KIND_CCA]
+            },
         )
 
         guest = chip.launch_vm(b"image", REVELIO_POLICY)
@@ -202,9 +207,14 @@ class TestTeeLayer:
             (tdx_evidence(td.get_quote(challenge)), td.mrtd),
             (cca_evidence(realm.attest(challenge)), realm.rim),
         ):
-            verified = verifier.verify(
-                evidence, now=0, expected_measurements=[golden],
-                expected_report_data=challenge,
+            outcome = verifier.verify(
+                evidence,
+                now=0,
+                policy=VerificationPolicy(
+                    golden_measurements=[golden], expected_report_data=challenge
+                ),
             )
-            assert verified.measurement == golden
-            assert verified.report_data == challenge
+            assert outcome.ok and outcome.family == evidence.family
+            provider = provider_for(evidence.family)
+            assert provider.measurement(outcome.report) == golden
+            assert provider.report_data(outcome.report) == challenge

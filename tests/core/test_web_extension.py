@@ -217,6 +217,41 @@ class TestTcbFloor:
         )
         assert not browser.navigate(f"https://{deployment.domain}/").blocked
 
+    def test_non_bytes_evidence_body_is_malformed_report(self, deployment):
+        from repro.core import WELL_KNOWN_ATTESTATION_PATH
+        from repro.crypto import encoding
+        from repro.crypto.drbg import HmacDrbg
+        from repro.crypto.keys import PrivateKey
+        from repro.crypto.x509 import Name
+        from repro.net.http import HttpResponse, HttpServer
+
+        rng = HmacDrbg(b"int-body-site")
+        key = PrivateKey.generate_ecdsa(rng)
+        cert = deployment.web_pki.intermediate.issue(
+            Name("int-body.example"), key.public_key(), 0, 2**61,
+            san=("int-body.example",),
+        )
+        payload = encoding.encode({"family": "sev-snp", "body": 7})
+        host = deployment.network.add_host("int-body-site", "10.3.9.7")
+        server = HttpServer("int-body")
+        server.add_route(
+            "GET", WELL_KNOWN_ATTESTATION_PATH,
+            lambda r, c: HttpResponse.ok(payload),
+        )
+        server.serve_tls(host, [cert, deployment.web_pki.intermediate.certificate],
+                         key, rng.fork(b"tls"))
+        deployment.network.dns.register("int-body.example", "10.3.9.7")
+
+        browser, extension = deployment.make_user(
+            "ext-t7", "10.3.2.7", register_service=False
+        )
+        extension.register_site("int-body.example", [b"\xff" * 48])
+        verdict = extension.before_request(
+            browser, "int-body.example", "https://int-body.example/"
+        )
+        assert verdict.blocked
+        assert verdict.reason_code == "malformed_report"
+
     def test_measurement_violation_carries_stable_code(self, deployment):
         browser, extension = deployment.make_user(
             "ext-t5", "10.3.2.5", register_service=False

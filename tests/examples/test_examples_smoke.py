@@ -22,6 +22,24 @@ def run_example(name: str, **env_overrides):
     )
 
 
+class TestExtensionsTour:
+    def test_verifies_every_family_behind_one_verifier(self):
+        result = run_example("extensions_tour.py")
+        assert result.returncode == 0, result.stderr[-2000:]
+        for workload, family in (
+            ("SEV-SNP guest", "sev-snp"),
+            ("TDX trust domain", "tdx"),
+            ("CCA realm", "arm-cca"),
+        ):
+            lines = [
+                line for line in result.stdout.splitlines()
+                if line.strip().startswith(workload)
+            ]
+            assert len(lines) == 1, (workload, result.stdout[-2000:])
+            assert "verified: measurement" in lines[0]
+            assert lines[0].endswith(f"[{family}]")
+
+
 class TestFleetOperations:
     def test_runs_clean_with_reduced_storm(self):
         result = run_example(

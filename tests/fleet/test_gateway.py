@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core import WELL_KNOWN_ATTESTATION_PATH
 from repro.core.deployment import MINIMAL_PAGE
+from repro.crypto import encoding
+from repro.crypto.keys import PrivateKey
 from repro.fleet import FleetGateway, GatewayError
 from repro.fleet.gateway import BackendState
+from repro.net.http import HttpResponse, HttpServer
 from tests.fleet.conftest import make_world
 
 
@@ -43,6 +47,29 @@ class TestAdmission:
         assert all(b.state == "rejected" for b in strict.backends.values())
         with pytest.raises(GatewayError, match="no_healthy_backend"):
             strict._route_new_session(b"")
+
+    def test_non_bytes_evidence_body_is_malformed_report(self, sync_world):
+        """An envelope whose body is an integer n is refused as
+        malformed, not zero-filled to n bytes and refused later."""
+        deployment, gateway, _ = sync_world
+        leader = deployment.nodes[0].node
+        payload = encoding.encode({"family": "sev-snp", "body": 7})
+        host = deployment.network.add_host("rogue-int-body", "10.66.1.7")
+        server = HttpServer("rogue-int-body")
+        server.add_route(
+            "GET", WELL_KNOWN_ATTESTATION_PATH,
+            lambda request, context: HttpResponse.ok(payload),
+        )
+        server.serve_tls(
+            host, leader.certificate_chain,
+            PrivateKey("ecdsa", leader.tls_private_key),
+            deployment.rng.fork(b"rogue-int-body"),
+        )
+        gateway.add_backend("10.66.1.7")
+        verdict = gateway.attest_and_admit("10.66.1.7")
+        assert not verdict.ok
+        assert verdict.reason == "malformed_report"
+        assert "must be bytes" in verdict.detail
 
     def test_unknown_backend_raises(self, sync_world):
         _, gateway, _ = sync_world

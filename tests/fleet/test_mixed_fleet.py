@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.attest import Evidence
+from repro.core import WELL_KNOWN_ATTESTATION_PATH
 from repro.crypto import ec, sigcache
 from repro.fleet import (
     FleetWorkload,
@@ -14,6 +16,8 @@ from repro.fleet import (
     revoke_family,
 )
 from repro.fleet.drain import begin_rollout, finish_rollout
+from repro.net.http import HTTPS_PORT, HttpRequest, HttpResponse
+from repro.net.tls import tls_connect
 from repro.sim import SimRng
 from repro.sim.kernel import sleep
 from tests.fleet.conftest import make_world
@@ -123,6 +127,27 @@ class TestMixedAdmission:
         verdict = gateway.attest_and_admit("10.1.0.10")
         assert verdict.reason == "measurement_mismatch"
         assert gateway.backends["10.1.0.10"].state == "rejected"
+
+    def test_every_endpoint_serves_its_family_envelope(self, sync_world):
+        """One well-known payload: SNP nodes and every lite family serve
+        an encoded Evidence tagged with the backend's family."""
+        deployment, gateway, _ = sync_world
+        attach_hetero(deployment, gateway)
+        probe = deployment.network.add_host("wk-probe", "10.9.9.40")
+        rng = deployment.rng.fork(b"wk-probe")
+        for backend in gateway.backends.values():
+            connection = tls_connect(
+                probe, backend.ip_address, HTTPS_PORT, deployment.domain,
+                [deployment.web_pki.trust_anchor], rng,
+                now=deployment.network.clock.epoch_seconds(),
+            )
+            response = HttpResponse.decode(connection.request(
+                HttpRequest("GET", WELL_KNOWN_ATTESTATION_PATH).encode()
+            ))
+            evidence = Evidence.decode(response.body)
+            assert evidence.family == backend.family, backend.ip_address
+        families = {backend.family for backend in gateway.backends.values()}
+        assert families == set(FAMILIES)
 
     def test_unknown_tier_falls_back_to_bulk(self, sync_world):
         deployment, gateway, _ = sync_world

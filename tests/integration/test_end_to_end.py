@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.amd.report import AttestationReport
+from repro.attest import Evidence, TeeFamily
 from repro.core import (
     BOOTSTRAP_PORT,
     WELL_KNOWN_ATTESTATION_PATH,
-    decode_attestation_payload,
 )
 from repro.core.key_sharing import report_data_for
 from repro.crypto.keys import PrivateKey
@@ -185,7 +186,9 @@ class TestWellKnownEndpoint:
         response, info = browser.client.get(
             f"https://{deployment.domain}{WELL_KNOWN_ATTESTATION_PATH}"
         )
-        report = decode_attestation_payload(response.body)
+        evidence = Evidence.decode(response.body)
+        assert evidence.family == TeeFamily.SEV_SNP
+        report = AttestationReport.decode(evidence.body)
         assert report.report_data == report_data_for(
             info.peer_public_key.fingerprint()
         )

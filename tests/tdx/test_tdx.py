@@ -1,11 +1,25 @@
-"""Intel TDX substrate tests + the hardware-agnostic TEE layer."""
+"""Intel TDX substrate tests + multi-family verification through
+:mod:`repro.attest`."""
 
 import pytest
 
 from repro.amd.policy import REVELIO_POLICY
 from repro.amd.secure_processor import AmdKeyInfrastructure
 from repro.amd.kds import KeyDistributionServer
+from repro.attest import (
+    AttestationVerifier,
+    Evidence,
+    EvidenceError,
+    TdxTrust,
+    TeeFamily,
+    VerificationPolicy,
+    cca_evidence,
+    snp_evidence,
+    tdx_evidence,
+)
+from repro.cca import ArmInfrastructure
 from repro.core.kds_client import KdsClient
+from repro.crypto import encoding
 from repro.crypto.drbg import HmacDrbg
 from repro.net.latency import ZERO_LATENCY, SimClock
 from repro.tdx import (
@@ -14,15 +28,6 @@ from repro.tdx import (
     TdQuote,
     TdxError,
     verify_td_quote,
-)
-from repro.tee import (
-    KIND_SEV_SNP,
-    KIND_TDX,
-    TeeError,
-    TeeEvidence,
-    TeeVerifier,
-    snp_evidence,
-    tdx_evidence,
 )
 
 
@@ -134,6 +139,16 @@ class TestQuotes:
             intel.pck_public_key(b"\x00" * 32, 1)
 
 
+def _verify(verifier, evidence, goldens, report_data=None):
+    return verifier.verify(
+        evidence,
+        now=0,
+        policy=VerificationPolicy(
+            golden_measurements=goldens, expected_report_data=report_data
+        ),
+    )
+
+
 class TestTeeAbstraction:
     @pytest.fixture(scope="class")
     def verifier(self, pcs):
@@ -141,36 +156,31 @@ class TestTeeAbstraction:
         kds = KeyDistributionServer(amd)
         self_chip = amd.provision_chip("tee-chip")
         kds_client = KdsClient(kds, SimClock(), ZERO_LATENCY)
-        verifier = TeeVerifier({KIND_SEV_SNP: kds_client, KIND_TDX: pcs})
+        verifier = AttestationVerifier(
+            kds_client, site="tee", contexts={TeeFamily.TDX: TdxTrust(pcs)}
+        )
         return verifier, self_chip
-
-    def test_supported_kinds(self, verifier):
-        tee_verifier, _ = verifier
-        assert list(tee_verifier.supported_kinds()) == [KIND_SEV_SNP, KIND_TDX]
 
     def test_verify_snp_evidence(self, verifier):
         tee_verifier, chip = verifier
         guest = chip.launch_vm(b"fw", REVELIO_POLICY)
         evidence = snp_evidence(guest.get_report(b"\x33" * 64))
-        verified = tee_verifier.verify(
-            evidence, now=0, expected_measurements=[guest.measurement],
-            expected_report_data=b"\x33" * 64,
+        outcome = _verify(
+            tee_verifier, evidence, [guest.measurement], b"\x33" * 64
         )
-        assert verified.kind == KIND_SEV_SNP
-        assert verified.measurement == guest.measurement
+        assert outcome.ok and outcome.family == TeeFamily.SEV_SNP
+        assert outcome.report.measurement == guest.measurement
 
     def test_verify_tdx_evidence(self, verifier, td):
         tee_verifier, _ = verifier
         evidence = tdx_evidence(td.get_quote(b"\x44" * 64))
-        verified = tee_verifier.verify(
-            evidence, now=0, expected_measurements=[td.mrtd]
-        )
-        assert verified.kind == KIND_TDX
-        assert verified.measurement == td.mrtd
+        outcome = _verify(tee_verifier, evidence, [td.mrtd])
+        assert outcome.ok and outcome.family == TeeFamily.TDX
+        assert outcome.report.mrtd == td.mrtd
 
     def test_envelope_round_trip(self, td):
         evidence = tdx_evidence(td.get_quote(b"\x00" * 64))
-        assert TeeEvidence.decode(evidence.encode()) == evidence
+        assert Evidence.decode(evidence.encode()) == evidence
 
     def test_wrong_golden_rejected_uniformly(self, verifier, td):
         tee_verifier, chip = verifier
@@ -179,28 +189,35 @@ class TestTeeAbstraction:
             snp_evidence(guest.get_report(b"\x00" * 64)),
             tdx_evidence(td.get_quote(b"\x00" * 64)),
         ):
-            with pytest.raises(TeeError, match="golden"):
-                tee_verifier.verify(
-                    evidence, now=0, expected_measurements=[b"\x99" * 48]
-                )
+            outcome = _verify(tee_verifier, evidence, [b"\x99" * 48])
+            assert outcome.reason == "measurement_mismatch"
+            assert "golden" in outcome.detail
 
     def test_unknown_kind_rejected(self, verifier):
         tee_verifier, _ = verifier
-        with pytest.raises(TeeError, match="no verifier"):
-            tee_verifier.verify(
-                TeeEvidence(kind="arm-cca", body=b""), now=0,
-                expected_measurements=[],
-            )
+        realm = (
+            ArmInfrastructure(HmacDrbg(b"tee-arm"))
+            .provision_platform("tee-cca")
+            .launch_realm(b"fw")
+        )
+        outcome = _verify(
+            tee_verifier, cca_evidence(realm.attest(b"\x00" * 64)), []
+        )
+        assert outcome.reason == "no_trust_context"
 
     def test_cross_technology_report_data_check(self, verifier, td):
         tee_verifier, _ = verifier
         evidence = tdx_evidence(td.get_quote(b"\x55" * 64))
-        with pytest.raises(TeeError, match="REPORT_DATA"):
-            tee_verifier.verify(
-                evidence, now=0, expected_measurements=[td.mrtd],
-                expected_report_data=b"\x66" * 64,
-            )
+        outcome = _verify(tee_verifier, evidence, [td.mrtd], b"\x66" * 64)
+        assert outcome.reason == "report_data_mismatch"
+        assert "REPORT_DATA" in outcome.detail
 
     def test_malformed_envelope(self):
-        with pytest.raises(TeeError):
-            TeeEvidence.decode(b"junk")
+        with pytest.raises(EvidenceError):
+            Evidence.decode(b"junk")
+
+    @pytest.mark.parametrize("body", [7, [1, 2], "text", None])
+    def test_envelope_body_must_be_bytes(self, body):
+        wire = encoding.encode({"family": "sev-snp", "body": body})
+        with pytest.raises(EvidenceError, match="must be bytes"):
+            Evidence.decode(wire)

@@ -162,6 +162,9 @@ class TestUpdateClient:
         assert client.epoch == 1
         snapshot = get_tracer().update.snapshot()
         assert snapshot["applied"] == 1 and snapshot["rejections"] == {}
+        # Shipped bytes are the signed blob that travels, as the fleet
+        # provisioner counts them, not the decoded payload.
+        assert snapshot["delta_bytes_shipped"] == len(channel_world["blob"])
 
     def test_tampered_blob_is_delta_corrupt(
         self, channel_world, update_world
