@@ -38,7 +38,8 @@ a raised TCB floor fails the family's next re-attestation with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..attest import (
     ALL_FAMILIES,
@@ -221,6 +222,11 @@ class FleetGateway:
         self.host.listen(HTTPS_PORT, self._handle)
 
         self._backends: Dict[str, BackendState] = {}
+        #: ``_backends``' values in IP order: the order new sessions
+        #: scan for candidates.  Only :meth:`add_backend` and
+        #: :meth:`remove_backend` change the backend set, and both
+        #: rebuild it.
+        self._routing_order: List[BackendState] = []
         self._affinity: Dict[bytes, str] = {}
         self._rr_cursor = 0
         self._route_log: List[Tuple[str, float]] = []
@@ -262,8 +268,11 @@ class FleetGateway:
     # -- backend lifecycle ------------------------------------------
 
     @property
-    def backends(self) -> Dict[str, BackendState]:
-        return self._backends
+    def backends(self) -> Mapping[str, BackendState]:
+        """Every registered backend by IP (a read-only view: register
+        and forget backends with :meth:`add_backend` and
+        :meth:`remove_backend`)."""
+        return MappingProxyType(self._backends)
 
     def add_backend(self, ip_address: str, concurrency: int = 4,
                     family=TeeFamily.SEV_SNP, region: Optional[str] = None,
@@ -283,7 +292,22 @@ class FleetGateway:
             region=region,
         )
         self._backends[ip_address] = backend
+        self._sort_routing_order()
         return backend
+
+    def remove_backend(self, ip_address: str) -> Optional[BackendState]:
+        """Forget a backend (e.g. a test VM taken off the network): it
+        gets no new session from now on, and a record of one of its
+        sessions is answered ``session_severed``.  Returns the removed
+        backend, or None if *ip_address* was not registered."""
+        backend = self._backends.pop(ip_address, None)
+        if backend is not None:
+            self._sort_routing_order()
+        return backend
+
+    def _sort_routing_order(self) -> None:
+        backends = self._backends
+        self._routing_order = [backends[ip] for ip in sorted(backends)]
 
     def _admission_policy(self, connection, family: str) -> VerificationPolicy:
         """The policy for one probe of *family* evidence: that family's
@@ -591,18 +615,27 @@ class FleetGateway:
         try:
             message = encoding.decode(payload)
         except ValueError:
-            self._count("requests_malformed")
-            raise GatewayError("malformed_request") from None
+            raise self._malformed() from None
         if not isinstance(message, dict):
-            self._count("requests_malformed")
-            raise GatewayError("malformed_request")
+            raise self._malformed()
         message_type = message.get("type")
+        # The routing fields are client-controlled: one of the wrong
+        # type is refused here (absent or None means not given).
         if message_type == "client_hello":
+            tier = message.get("tier")
+            if tier is not None and not isinstance(tier, str):
+                raise self._malformed("tier is not a string")
             return self._route_new_session(payload, message)
         if message_type == "record":
+            session_id = message.get("session_id")
+            if session_id is not None and not isinstance(session_id, bytes):
+                raise self._malformed("session_id is not bytes")
             return self._route_record(message, payload)
+        raise self._malformed(f"type={message_type!r}")
+
+    def _malformed(self, detail: str = "") -> GatewayError:
         self._count("requests_malformed")
-        raise GatewayError("malformed_request", f"type={message_type!r}")
+        return GatewayError("malformed_request", detail)
 
     def _session_tier(self, message: Optional[dict]) -> str:
         """The effective tier of a hello: its cleartext ``tier`` tag if
@@ -617,12 +650,12 @@ class FleetGateway:
         now = self.network.clock.now
         tier = self._session_tier(message)
         tier_allowed = self.tier_families.get(tier)
+        verdict_ttl = self.verdict_ttl
         candidates = [
-            self._backends[ip]
-            for ip in sorted(self._backends)
-            if self._backends[ip].admittable(now, self.verdict_ttl)
-            and (tier_allowed is None
-                 or self._backends[ip].family in tier_allowed)
+            backend
+            for backend in self._routing_order
+            if backend.admittable(now, verdict_ttl)
+            and (tier_allowed is None or backend.family in tier_allowed)
         ]
         if not candidates:
             self._count("routing_failed.no_healthy_backend")

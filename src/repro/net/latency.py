@@ -11,22 +11,37 @@ numbers; benchmarks report simulated milliseconds whose *composition*
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class ClockScope:
-    """Handle to one :meth:`SimClock.isolated` timeline segment.
+    """One :meth:`SimClock.isolated` timeline segment, and its own
+    context manager.
 
-    ``elapsed`` holds the virtual seconds charged inside the scope; it
-    is finalised when the ``with`` block exits.
+    Entering pushes a fresh offset onto the clock, so every advance in
+    the ``with`` block is charged to the scope; exiting pops it, stores
+    it in ``elapsed`` and rolls it up into the enclosing scope, if any.
+    Exiting on an exception does the same and lets the exception
+    propagate.
     """
 
-    __slots__ = ("elapsed",)
+    __slots__ = ("elapsed", "_offsets")
 
-    def __init__(self) -> None:
+    def __init__(self, offsets: List[float]) -> None:
         self.elapsed: float = 0.0
+        self._offsets = offsets
+
+    def __enter__(self) -> "ClockScope":
+        self._offsets.append(0.0)
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        offsets = self._offsets
+        elapsed = offsets.pop()
+        self.elapsed = elapsed
+        if offsets:
+            offsets[-1] += elapsed
 
 
 class SimClock:
@@ -71,21 +86,12 @@ class SimClock:
             raise ValueError("time cannot move backwards")
         self._now = float(timestamp)
 
-    @contextmanager
-    def isolated(self) -> Iterator[ClockScope]:
+    def isolated(self) -> ClockScope:
         """Charge every advance in the block to a scope, not the shared
         timeline.  Nested scopes roll their elapsed time up into the
         enclosing scope; the outermost scope discards it (the caller
         replays it, e.g. as an event-kernel sleep)."""
-        scope = ClockScope()
-        self._offsets.append(0.0)
-        try:
-            yield scope
-        finally:
-            elapsed = self._offsets.pop()
-            scope.elapsed = elapsed
-            if self._offsets:
-                self._offsets[-1] += elapsed
+        return ClockScope(self._offsets)
 
     def epoch_seconds(self) -> int:
         """Integer timestamp for certificate validity checks."""

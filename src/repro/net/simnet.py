@@ -15,9 +15,8 @@ must come from TLS on top — exactly as on the real internet.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .dns import DnsRegistry
 from .firewall import ConnectionRefused, Firewall
@@ -90,6 +89,24 @@ class Host:
         return self.network.exchange(self, dst_ip, port, payload)
 
 
+class _SharedScope:
+    """A synchronous-mode :meth:`Network.measure` scope: the block
+    advances the shared clock, and ``elapsed`` is how far it moved."""
+
+    __slots__ = ("elapsed", "_clock", "_before")
+
+    def __init__(self, clock: SimClock) -> None:
+        self.elapsed = 0.0
+        self._clock = clock
+
+    def __enter__(self) -> "_SharedScope":
+        self._before = self._clock.now
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.elapsed = self._clock.now - self._before
+
+
 class Network:
     """The shared medium + clock + DNS of one simulated internet.
 
@@ -119,25 +136,19 @@ class Network:
         if kernel is not None:
             self.kernel = kernel
 
-    @contextmanager
-    def measure(self) -> Iterator[ClockScope]:
-        """Measure virtual time spent in the block without (in event
-        mode) advancing the shared timeline.
+    def measure(self) -> Union[ClockScope, _SharedScope]:
+        """A scope (``with network.measure() as scope:``) measuring the
+        virtual time spent in the block without (in event mode)
+        advancing the shared timeline: there it is the clock's own
+        :meth:`~repro.net.latency.SimClock.isolated` scope.
 
         In synchronous mode the block's advances land on the shared
         clock as always and the scope merely reports their sum, so
         instrumentation code works identically in both modes.
         """
         if self.event_mode:
-            with self.clock.isolated() as scope:
-                yield scope
-        else:
-            scope = ClockScope()
-            before = self.clock.now
-            try:
-                yield scope
-            finally:
-                scope.elapsed = self.clock.now - before
+            return self.clock.isolated()
+        return _SharedScope(self.clock)
 
     def timed_exchange(self, source: "Host", dst_ip: str, port: int,
                        payload: bytes) -> Tuple[bytes, float]:

@@ -429,7 +429,7 @@ class RogueBackend(Injection):
     def revert(self) -> None:
         world = self.world
         gateway = world.gateway
-        gateway.backends.pop(self._ip, None)
+        gateway.remove_backend(self._ip)
         world.remove_host(self._ip)
         gateway.golden_measurements = self._saved_golden
         gateway.revoked_measurements = self._saved_revoked
@@ -496,7 +496,7 @@ class CertMisissuance(Injection):
         return self._attest(self._ip).ok
 
     def revert(self) -> None:
-        self.world.gateway.backends.pop(self._ip, None)
+        self.world.gateway.remove_backend(self._ip)
         self.world.remove_host(self._ip)
 
     def recovered(self) -> bool:

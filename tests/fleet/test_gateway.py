@@ -8,7 +8,7 @@ from repro.crypto import encoding
 from repro.crypto.keys import PrivateKey
 from repro.fleet import FleetGateway, GatewayError
 from repro.fleet.gateway import BackendState
-from repro.net.http import HttpResponse, HttpServer
+from repro.net.http import HTTPS_PORT, HttpResponse, HttpServer
 from tests.fleet.conftest import make_world
 
 
@@ -186,3 +186,97 @@ class TestCounters:
         with pytest.raises(GatewayError, match="malformed_request"):
             gateway._handle(b"\xffgarbage", None)
         assert gateway.counters["requests_malformed"] == 1
+
+
+class TestUntrustedEnvelope:
+    """Cleartext routing fields come from the client: a payload the
+    gateway cannot route is refused ``malformed_request``, never a
+    crash inside ``_handle``."""
+
+    def _send(self, deployment, gateway, payload):
+        attacker = deployment.network.add_host("envelope-abuser", "10.66.2.1")
+        before = gateway.counters.get("requests_malformed", 0)
+        with pytest.raises(GatewayError) as caught:
+            attacker.request(gateway.host.ip_address, HTTPS_PORT, payload)
+        return caught.value, gateway.counters.get("requests_malformed", 0) - before
+
+    def test_deeply_nested_payload_is_malformed_request(self, sync_world):
+        deployment, gateway, _ = sync_world
+        payload = b""
+        for _ in range(600):  # 600 nested lists: 3,000 bytes
+            payload = (
+                bytes([encoding.TAG_LIST]) + len(payload).to_bytes(4, "big")
+                + payload
+            )
+        error, malformed = self._send(deployment, gateway, payload)
+        assert error.reason == "malformed_request"
+        assert malformed == 1
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"type": "record", "session_id": [1, 2]},
+            {"type": "record", "session_id": "not-bytes"},
+            {"type": "client_hello", "tier": ["high"]},
+            {"type": "client_hello", "tier": 7},
+        ],
+    )
+    def test_wrongly_typed_routing_field_is_malformed_request(
+        self, sync_world, message
+    ):
+        deployment, gateway, _ = sync_world
+        error, malformed = self._send(
+            deployment, gateway, encoding.encode(message)
+        )
+        assert error.reason == "malformed_request"
+        assert malformed == 1
+
+    def test_absent_routing_fields_keep_their_defaults(self, sync_world):
+        deployment, gateway, _ = sync_world
+        error, malformed = self._send(
+            deployment, gateway, encoding.encode({"type": "record"})
+        )
+        assert error.reason == "session_severed"
+        assert malformed == 0
+        assert gateway._session_tier({"type": "client_hello"}) == "bulk"
+        assert gateway._session_tier({"tier": None}) == "bulk"
+
+
+class TestBackendSet:
+    def _browse(self, deployment, sessions, first):
+        for index in range(first, first + sessions):
+            browser = fresh_browser(
+                deployment, f"set-{index}", f"10.2.7.{index + 1}"
+            )
+            result = browser.navigate(f"https://{deployment.domain}/")
+            assert result.response.body == MINIMAL_PAGE
+
+    def test_removed_backend_gets_no_new_session(self, sync_world):
+        deployment, gateway, _ = sync_world
+        removed_ip = sorted(gateway.backends)[0]
+        removed = gateway.remove_backend(removed_ip)
+        assert removed.state == "admitted"
+        assert removed_ip not in gateway.backends
+        assert gateway.remove_backend(removed_ip) is None
+        self._browse(deployment, 4, first=0)
+        assert removed.requests_forwarded == 0
+        assert removed_ip not in gateway._affinity.values()
+
+        # Re-registered, the same IP stays pending until it is admitted.
+        readded = gateway.add_backend(removed_ip)
+        assert readded.state == "pending"
+        self._browse(deployment, 4, first=4)
+        assert readded.requests_forwarded == 0
+        assert gateway.attest_and_admit(removed_ip).ok
+        assert readded.state == "admitted"
+        self._browse(deployment, 3, first=8)
+        assert readded.requests_forwarded > 0
+
+    def test_backends_view_is_read_only(self, sync_world):
+        _, gateway, _ = sync_world
+        ip = sorted(gateway.backends)[0]
+        with pytest.raises(TypeError):
+            gateway.backends[ip] = BackendState(ip)
+        with pytest.raises(AttributeError):
+            gateway.backends.pop(ip)
+        assert ip in gateway.backends

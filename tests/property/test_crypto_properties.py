@@ -11,6 +11,7 @@ from repro.crypto.kdf import hkdf
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.modes import AeadCipher, XtsCipher
 from repro.crypto.shamir import reconstruct_secret, split_secret
+from tests.crypto import reference_encoding
 
 # -- canonical encoding ------------------------------------------------------
 
@@ -41,6 +42,45 @@ def test_encoding_round_trip(value):
 def test_encoding_injective(left, right):
     if encoding.encode(left) == encoding.encode(right):
         assert left == right
+
+
+# The codec as it stood before the one-pass rewrite
+# (``tests/crypto/reference_encoding.py``) is the oracle: same bytes
+# out, and the same verdict on every corrupted input.  ``_encodables``
+# nests at most five containers deep (``max_leaves=20`` stacks five
+# levels of ``st.recursive``), well inside the format's ``MAX_DEPTH``, so
+# the oracle's lack of a nesting limit never matters here.
+
+
+def _decoded(codec, data):
+    """What *codec* makes of *data*: ``repr`` of the value (so ``True``
+    and ``1`` stay apart), or ``"error"`` on a ``DecodingError``."""
+    try:
+        return repr(codec.decode(data))
+    except encoding.DecodingError:
+        return "error"
+
+
+@given(_encodables)
+def test_encoding_matches_reference_codec(value):
+    assert encoding.encode(value) == reference_encoding.encode(value)
+
+
+@given(_encodables, st.data())
+def test_decoding_matches_reference_codec_on_corrupted_input(value, data):
+    encoded = encoding.encode(value)
+    corruption = data.draw(st.sampled_from(("replace", "truncate", "append")))
+    if corruption == "replace":
+        index = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+        byte = data.draw(st.integers(min_value=0, max_value=255))
+        corrupted = encoded[:index] + bytes([byte]) + encoded[index + 1:]
+    elif corruption == "truncate":
+        corrupted = encoded[:data.draw(
+            st.integers(min_value=0, max_value=len(encoded) - 1)
+        )]
+    else:
+        corrupted = encoded + data.draw(st.binary(min_size=1, max_size=16))
+    assert _decoded(encoding, corrupted) == _decoded(reference_encoding, corrupted)
 
 
 # -- AES / XTS / AEAD --------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net.latency import SimClock
+from repro.net.latency import LatencyModel, SimClock
+from repro.net.simnet import Network, NetworkError
 from repro.sim import (
     EventKernel,
     Interrupt,
@@ -201,6 +202,70 @@ class TestClockScopes:
         assert clock.now == 4.0
         with pytest.raises(ValueError):
             clock.advance_to(3.0)
+
+    def test_exception_in_nested_scope_still_rolls_up(self):
+        clock = SimClock(start=10.0)
+        with clock.isolated() as outer:
+            clock.advance(1.0)
+            with pytest.raises(KeyError):
+                with clock.isolated() as inner:
+                    clock.advance(2.0)
+                    raise KeyError("inside the inner scope")
+            assert inner.elapsed == 2.0
+            assert clock.now == 13.0
+        assert outer.elapsed == 3.0
+        assert clock.now == 10.0
+        assert clock._offsets == []
+        clock.advance_to(11.0)  # refused while any scope is open
+
+    def test_exception_propagates_through_both_scopes(self):
+        clock = SimClock()
+        with pytest.raises(KeyError):
+            with clock.isolated() as outer:
+                with clock.isolated() as inner:
+                    clock.advance(2.0)
+                    raise KeyError("inside the inner scope")
+        assert (inner.elapsed, outer.elapsed) == (2.0, 2.0)
+        assert clock.now == 0.0
+        assert clock._offsets == []
+
+    def test_event_mode_measure_survives_a_failed_exchange(self):
+        """``_exchange`` and ``_forward`` measure every request, severed
+        and unreachable ones too: the scope must close on the error and
+        charge what the exchange took before it failed."""
+        network = Network(LatencyModel(base_rtt=0.25))
+        network.enable_event_mode(EventKernel(network.clock, SimRng(0)))
+        server = network.add_host("server", "10.0.0.1")
+        client = network.add_host("client", "10.0.0.2")
+
+        def severed(payload, context):
+            context.add_processing_time(0.5)
+            raise NetworkError("session severed")
+
+        server.listen(80, severed)
+        with network.measure() as outer:
+            with pytest.raises(NetworkError):
+                with network.measure() as inner:
+                    client.request("10.0.0.1", 80, b"record")
+            with pytest.raises(NetworkError):
+                with network.measure() as unreachable:
+                    client.request("10.0.0.9", 80, b"record")
+        assert inner.elapsed == 0.75
+        assert unreachable.elapsed == 0.0
+        assert outer.elapsed == 0.75
+        assert network.clock.now == 0.0
+        assert network.clock._offsets == []
+
+    def test_sync_mode_measure_survives_a_failed_exchange(self):
+        network = Network(LatencyModel(base_rtt=0.25))
+        server = network.add_host("server", "10.0.0.1")
+        client = network.add_host("client", "10.0.0.2")
+        server.listen(80, lambda payload, context: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            with network.measure() as scope:
+                client.request("10.0.0.1", 80, b"x")
+        assert scope.elapsed == 0.25
+        assert network.clock.now == 0.25
 
 
 class TestSleepValidation:
