@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 from . import encoding
@@ -67,7 +68,17 @@ class Certificate:
     signature_hash: str = "sha256"
 
     def tbs_bytes(self) -> bytes:
-        """The to-be-signed canonical serialisation."""
+        """The to-be-signed canonical serialisation.
+
+        Encoded once per instance from its frozen fields, never taken
+        from received bytes, so a signature always covers the canonical
+        re-encoding.  The bytes are kept outside the dataclass fields:
+        ``dataclasses.replace`` builds a copy that encodes its own.
+        """
+        return self._tbs
+
+    @cached_property
+    def _tbs(self) -> bytes:
         return encoding.encode(
             {
                 "subject": self.subject.to_dict(),

@@ -52,7 +52,7 @@ from ..core.key_sharing import report_data_for
 from ..crypto import encoding
 from ..net.http import HTTPS_PORT, HttpRequest, HttpResponse
 from ..net.simnet import Network, NetworkError
-from ..net.tls import tls_connect
+from ..net.tls import TlsError, tls_connect
 from ..sim.resources import Server
 
 #: Balancing policies (pluggable via the ``balancer`` argument).
@@ -69,7 +69,7 @@ GATEWAY_REASON_CODES = frozenset({
     "health_timeout",        # liveness probe exceeded the monitor budget
     "kds_unreachable",       # verdict freshness unconfirmable (fail closed)
     "malformed_report",      # well-known body undecodable
-    "malformed_request",     # client envelope undecodable
+    "malformed_request",     # client envelope undecodable, or refused by backend TLS
     "no_healthy_backend",    # zero admitted backends for the session tier
     "report_unavailable",    # well-known endpoint non-200
     "session_severed",       # record for a session whose backend died
@@ -670,6 +670,12 @@ class FleetGateway:
             attempts += 1
             try:
                 raw, elapsed = self._forward(backend, payload)
+            except TlsError as exc:
+                # The backend's TLS refused what the client sent: the
+                # message was bad, not the backend, so it stays admitted
+                # and no other backend is tried.  Only other connection
+                # errors evict.
+                raise self._malformed(f"backend TLS: {exc}") from exc
             except ConnectionError as exc:
                 self.evict(backend.ip_address, "backend_unreachable", str(exc))
                 self._count("retries")
@@ -702,6 +708,11 @@ class FleetGateway:
             raise GatewayError("session_severed", backend_ip)
         try:
             raw, _elapsed = self._forward(backend, payload)
+        except TlsError as exc:
+            # Refused by the backend's TLS: the backend stays admitted and
+            # the session keeps its affinity (a refused record advances no
+            # sequence number, so its owner's next record still opens).
+            raise self._malformed(f"backend TLS: {exc}") from exc
         except ConnectionError as exc:
             self.evict(backend_ip, "backend_unreachable", str(exc))
             raise GatewayError("backend_unreachable", str(exc)) from exc

@@ -65,6 +65,15 @@ def _nonce(direction: bytes, sequence: int) -> bytes:
     return direction + sequence.to_bytes(8, "big")
 
 
+def _field(message: dict, name: str, kind: type, error: type):
+    """``message[name]`` if it is a ``kind``; the client sent it, so
+    anything else is refused as ``error``."""
+    value = message.get(name)
+    if not isinstance(value, kind):
+        raise error(f"TLS field {name!r} missing or not {kind.__name__}")
+    return value
+
+
 @dataclass
 class _ServerSession:
     c2s: AeadCipher
@@ -112,9 +121,16 @@ class TlsServer:
         raise TlsError(f"unexpected TLS message type {message_type!r}")
 
     def _accept(self, hello: dict) -> bytes:
-        client_random = hello["random"]
-        client_share = EcdsaPublicKey.decode(hello["ecdh_pub"])
-        server_name = hello["sni"]
+        client_random = _field(hello, "random", bytes, TlsHandshakeError)
+        share_bytes = _field(hello, "ecdh_pub", bytes, TlsHandshakeError)
+        server_name = _field(hello, "sni", str, TlsHandshakeError)
+
+        try:
+            client_share = EcdsaPublicKey.decode(share_bytes)
+        except ValueError as exc:
+            raise TlsHandshakeError(f"undecodable ECDH share: {exc}") from exc
+        if client_share.curve.name != P256.name or client_share.point.is_infinity:
+            raise TlsHandshakeError("ECDH share is not a finite P-256 point")
 
         ephemeral = EcdsaPrivateKey.generate(P256, self._rng)
         server_random = self._rng.generate(32)
@@ -143,24 +159,26 @@ class TlsServer:
         )
 
     def _process_record(self, record: dict, context: RequestContext) -> bytes:
-        session = self._sessions.get(record.get("session_id"))
+        session_id = _field(record, "session_id", bytes, TlsRecordError)
+        session = self._sessions.get(session_id)
         if session is None:
             raise TlsRecordError("unknown TLS session")
         try:
             plaintext = session.c2s.open(
-                _nonce(b"c2s\x00", session.recv_seq), record["data"],
-                aad=record["session_id"],
+                _nonce(b"c2s\x00", session.recv_seq),
+                _field(record, "data", bytes, TlsRecordError),
+                aad=session_id,
             )
         except AeadError as exc:
             raise TlsRecordError("record authentication failed") from exc
         session.recv_seq += 1
         response = self._app(plaintext, context)
         sealed = session.s2c.seal(
-            _nonce(b"s2c\x00", session.send_seq), response, aad=record["session_id"]
+            _nonce(b"s2c\x00", session.send_seq), response, aad=session_id
         )
         session.send_seq += 1
         return encoding.encode(
-            {"type": "record", "session_id": record["session_id"], "data": sealed}
+            {"type": "record", "session_id": session_id, "data": sealed}
         )
 
     def reset_sessions(self) -> None:

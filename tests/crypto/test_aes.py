@@ -141,8 +141,14 @@ class TestKnownAnswers:
 
 
 class TestTableCore:
-    @pytest.mark.parametrize("blocks", [1, 2, 7, 256, 1000])
-    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    # Counts next to a power of two (63, 65, 4,097) reach the tails of
+    # numpy's vectorised inner loops; 65,536 blocks are a 1 MiB request.
+    @pytest.mark.parametrize(
+        "key_size,blocks",
+        [(size, blocks) for size in (16, 24, 32)
+         for blocks in (1, 2, 7, 63, 64, 65, 256, 1000, 4097)]
+        + [(32, 65536)],
+    )
     def test_matches_reference(self, key_size, blocks):
         rng = HmacDrbg(b"aes-reference:%d:%d" % (key_size, blocks))
         key = rng.generate(key_size)

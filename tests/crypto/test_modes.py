@@ -61,6 +61,21 @@ class TestXts:
         assert got == expected
         assert xts.decrypt(got, first_sector=first_sector) == data
 
+    @pytest.mark.parametrize("key_size", [32, 64])
+    def test_matches_reference_for_64k_request(self, rng, key_size):
+        # The 64 KiB request shape: 16 sectors of 4,096 bytes, 4,096 data
+        # blocks and 16 tweaks in one AES call each.
+        key = rng.generate(key_size)
+        xts = XtsCipher(key)
+        data = rng.generate(4096 * 16)
+        got = xts.encrypt(data, first_sector=9)
+        expected = b"".join(
+            _reference_xts_encrypt(key, 9 + i, data[4096 * i : 4096 * (i + 1)])
+            for i in range(16)
+        )
+        assert got == expected
+        assert xts.decrypt(got, first_sector=9) == data
+
     def test_ieee1619_vector_2(self):
         # IEEE 1619-2007 XTS-AES-128 test vector 2: data unit 0x3333333333,
         # one 32-byte data unit of 0x44.

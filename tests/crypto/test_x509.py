@@ -1,7 +1,10 @@
 """Certificate, CSR, and chain-validation tests."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.crypto import encoding
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import PrivateKey
 from repro.crypto.x509 import (
@@ -200,6 +203,43 @@ class TestSerialization:
         )
         assert cert.extension("chip_id") == b"\xab" * 64
         assert cert.extension("missing") is None
+
+
+class TestTbsEncoding:
+    """The body is encoded once per certificate, and the encoding never
+    travels with a copy whose fields differ."""
+
+    def test_replaced_copy_re_encodes_and_fails_verification(
+        self, root, intermediate, leaf
+    ):
+        cert, _ = leaf
+        issuer_key = intermediate.certificate.public_key
+        assert cert.verify_signature(issuer_key)  # encodes and keeps the body
+        forged = replace(cert, subject=Name("evil.com"))
+        assert forged.tbs_bytes() != cert.tbs_bytes()
+        assert not forged.verify_signature(issuer_key)
+        with pytest.raises(CertificateError, match="bad signature"):
+            validate_chain(
+                [forged, intermediate.certificate], [root.certificate], now=NOW
+            )
+
+    def test_body_is_encoded_once_per_certificate(self, monkeypatch, rng, intermediate):
+        key = PrivateKey.generate_ecdsa(rng)
+        cert = intermediate.issue(Name("once.example"), key.public_key(), NOW, LATER)
+        bodies = []
+        real_encode = encoding.encode
+
+        def counting_encode(value):
+            if isinstance(value, dict) and "subject" in value:
+                bodies.append(value)
+            return real_encode(value)
+
+        monkeypatch.setattr(encoding, "encode", counting_encode)
+        for _ in range(3):
+            cert.fingerprint()
+            assert cert.verify_signature(intermediate.certificate.public_key)
+            cert.tbs_bytes()
+        assert len(bodies) == 1
 
 
 class TestCsr:

@@ -231,6 +231,41 @@ class TestUntrustedEnvelope:
         assert error.reason == "malformed_request"
         assert malformed == 1
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"type": "client_hello"},
+            {"type": "record", "session_id": "live"},
+            {"type": "record", "session_id": "live", "data": bytes(64)},
+        ],
+        ids=["hello-without-fields", "record-without-data", "forged-record"],
+    )
+    def test_backend_tls_refusal_is_malformed_request_and_evicts_nobody(
+        self, sync_world, message
+    ):
+        deployment, gateway, _ = sync_world
+        victim = fresh_browser(deployment, "victim", "10.2.9.9")
+        victim.navigate(f"https://{deployment.domain}/")
+        ((session_id, backend_ip),) = gateway._affinity.items()
+        if message.get("session_id") == "live":
+            message = dict(message, session_id=session_id)
+        opened = gateway.counters["sessions_opened"]
+
+        error, malformed = self._send(deployment, gateway, encoding.encode(message))
+        assert error.reason == "malformed_request"
+        assert malformed == 1
+        assert all(b.state == "admitted" for b in gateway.backends.values())
+        assert gateway.counters.get("evictions.backend_unreachable", 0) == 0
+        assert gateway._affinity == {session_id: backend_ip}
+
+        # The refused record advanced no sequence number: the victim's
+        # next request rides the same session, without a new handshake.
+        result = victim.navigate(f"https://{deployment.domain}/")
+        assert result.response.body == MINIMAL_PAGE
+        assert not result.blocked
+        assert gateway.counters["sessions_opened"] == opened
+        assert gateway._affinity == {session_id: backend_ip}
+
     def test_absent_routing_fields_keep_their_defaults(self, sync_world):
         deployment, gateway, _ = sync_world
         error, malformed = self._send(

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.crypto import encoding
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.ec import P256, P384
+from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.crypto.keys import PrivateKey
 from repro.crypto.x509 import Name
 from repro.net.http import (
@@ -16,7 +19,12 @@ from repro.net.http import (
 )
 from repro.net.latency import ZERO_LATENCY
 from repro.net.simnet import Network
-from repro.net.tls import TlsHandshakeError, TlsServer, tls_connect
+from repro.net.tls import (
+    TlsHandshakeError,
+    TlsRecordError,
+    TlsServer,
+    tls_connect,
+)
 from repro.pki.ca import WebPki
 
 NOW = 0
@@ -144,6 +152,91 @@ class TestTlsHandshake:
 
         with pytest.raises(TlsError):
             connection.request(b"x")
+
+
+class TestUntrustedClientFields:
+    """Every field a client sends is refused with a typed TLS error when
+    it is missing, of the wrong type or undecodable: never ``KeyError``,
+    ``TypeError`` or a point-decode ``ValueError``."""
+
+    def _hello(self, world, **overrides):
+        share = EcdsaPrivateKey.generate(P256, world["rng"].fork(b"hello-share"))
+        hello = {
+            "type": "client_hello",
+            "random": b"r" * 32,
+            "ecdh_pub": share.public_key().encode(),
+            "sni": "service.example",
+        }
+        hello.update(overrides)
+        return {name: value for name, value in hello.items() if value is not None}
+
+    def _send(self, world, message):
+        return world["http"].tls.handle(encoding.encode(message), None)
+
+    def test_complete_hello_is_answered(self, world):
+        answer = encoding.decode(self._send(world, self._hello(world)))
+        assert answer["type"] == "server_hello"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"random": None},
+            {"ecdh_pub": None},
+            {"sni": None},
+            {"random": "not-bytes"},
+            {"ecdh_pub": 7},
+            {"sni": b"service.example"},
+            {"ecdh_pub": b""},
+            {"ecdh_pub": b"\x05P-256\x04" + (1).to_bytes(32, "big") * 2},
+            {"ecdh_pub": b"\x05P-256\x00"},
+            {"ecdh_pub": b"\x05P-999" + bytes(65)},
+            {"ecdh_pub": b"\xff\xfe"},
+        ],
+        ids=[
+            "no-random", "no-ecdh_pub", "no-sni", "str-random", "int-ecdh_pub",
+            "bytes-sni", "empty-share", "off-curve-share", "infinity-share",
+            "unknown-curve-share", "garbage-share",
+        ],
+    )
+    def test_bad_hello_field_is_a_handshake_error(self, world, overrides):
+        with pytest.raises(TlsHandshakeError):
+            self._send(world, self._hello(world, **overrides))
+
+    def test_share_on_another_curve_is_a_handshake_error(self, world):
+        share = EcdsaPrivateKey.generate(P384, world["rng"].fork(b"p384-share"))
+        with pytest.raises(TlsHandshakeError):
+            self._send(world, self._hello(world, ecdh_pub=share.public_key().encode()))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": "record"},
+            {"type": "record", "session_id": [1, 2]},
+            {"type": "record", "session_id": "not-bytes"},
+            {"type": "record", "session_id": b"unknown", "data": b""},
+        ],
+        ids=["no-session_id", "list-session_id", "str-session_id", "unknown-session"],
+    )
+    def test_bad_record_session_is_a_record_error(self, world, record):
+        with pytest.raises(TlsRecordError):
+            self._send(world, record)
+
+    @pytest.mark.parametrize("data", [None, "text", 7, bytes(64)],
+                             ids=["no-data", "str-data", "int-data", "forged-data"])
+    def test_bad_record_data_is_a_record_error_and_keeps_the_session(self, world, data):
+        connection = tls_connect(
+            world["client_host"], "10.0.0.1", 443, "service.example",
+            [world["pki"].trust_anchor], world["rng"].fork(b"c9"), NOW,
+        )
+        record = {"type": "record", "session_id": connection.session_id}
+        if data is not None:
+            record["data"] = data
+        with pytest.raises(TlsRecordError):
+            self._send(world, record)
+        # A refused record does not advance the session's sequence
+        # numbers, so its owner's next record still authenticates.
+        response = HttpResponse.decode(connection.request(HttpRequest("GET", "/").encode()))
+        assert response.status == 200
 
 
 class TestHttpClient:
