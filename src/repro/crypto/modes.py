@@ -4,11 +4,12 @@
 (the exact cipher spec the paper configures in section 6.3.1): each
 sector's tweak is the little-endian sector number encrypted under the
 second key, advancing by multiplication with alpha in GF(2^128) per
-16-byte block.  The tweak chain is built by doubling (the k tweaks
-already known, times alpha^k) across every sector at once, so a request
-of any size costs two AES passes (sector numbers, then data) plus
-O(log blocks-per-sector) numpy passes for the tweaks, and stays on
-arrays end to end.
+16-byte block.  Block 64a + b's tweak is T * x^(64a) * x^b, which needs
+no sequential chain: one whole-limb shift per further group of 64
+blocks, then one pass over every (sector, group, b), for all sectors at
+once.  A request of any size costs two AES passes (sector numbers, then
+data) plus about 20 numpy calls for the tweaks (5 more per further group
+of 64 blocks), and stays on arrays.
 
 ``AeadCipher`` is an encrypt-then-MAC AEAD (AES-CTR + HMAC-SHA-256) used
 for sealed storage payloads and TLS records.
@@ -24,21 +25,14 @@ import numpy as np
 from .aes import AES, AesError
 
 
-def _times_x_power(lo: np.ndarray, hi: np.ndarray, power: int):
-    """Multiply GF(2^128) elements, given as little-endian 64-bit limbs,
-    by x^power (XTS's alpha^power).
+#: Block ``b``'s power of x within its group of 64, and ``63 - b``.
+_POWERS = np.arange(64, dtype=np.uint64)
+_COPOWERS = 63 - _POWERS
 
-    Shifts in steps of at most 32 bits, so the bits carried out of the
-    top, reduced by x^128 = x^7 + x^2 + x + 1 (feedback byte 0x87),
-    land in the low limb without overflowing it.
-    """
-    while power:
-        shift = min(power, 32)
-        carry = hi >> (64 - shift)
-        hi = (hi << shift) | (lo >> (64 - shift))
-        lo = (lo << shift) ^ carry ^ (carry << 1) ^ (carry << 2) ^ (carry << 7)
-        power -= shift
-    return lo, hi
+#: A limb h leaving a tweak's top folds back as h * (x^7 + x^2 + x + 1)
+#: (feedback byte 0x87): h << these into lo, h >> 64 minus them into hi.
+_FOLD_LEFT = np.array([[0], [1], [2], [7]], dtype=np.uint64)
+_FOLD_RIGHT = 64 - _FOLD_LEFT[1:]
 
 
 class XtsCipher:
@@ -72,29 +66,41 @@ class XtsCipher:
         seed = np.zeros((num_sectors, 2), dtype="<u8")
         seed[:, 0] = np.arange(first_sector, first_sector + num_sectors, dtype=np.uint64)
         bps = self._blocks_per_sector
-        # Each tweak is two little-endian 64-bit limbs (lo, hi).  Block j
-        # of a sector is tweaked by T * x^j: double the known prefix of
-        # the chain until it covers the sector.
-        chain = np.empty((num_sectors, bps, 2), dtype="<u8")
-        chain[:, 0] = self._tweak_cipher.encrypt_state(seed.view(np.uint8)).view("<u8")
-        known = 1
-        while known < bps:
-            count = min(known, bps - known)
-            lo, hi = _times_x_power(chain[:, :count, 0], chain[:, :count, 1], known)
-            chain[:, known : known + count, 0] = lo
-            chain[:, known : known + count, 1] = hi
-            known += count
-        return chain.view(np.uint8).reshape(num_sectors * bps, 16)
+        width = min(bps, 64)
+        # Each tweak is two little-endian 64-bit limbs (lo, hi); block
+        # 64a + b of a sector gets T * x^(64a) * x^b.  Step 1: each group
+        # seed U_a = T * x^(64a) is U_(a-1) times x^64, a whole-limb
+        # shift (lo becomes hi; hi leaves the top and folds back).
+        seeds = np.empty((num_sectors, -(-bps // width), 2), dtype="<u8")
+        seeds[:, 0] = self._tweak_cipher.encrypt_state(seed.view(np.uint8)).view("<u8")
+        for a in range(1, seeds.shape[1]):
+            lo, hi = seeds[:, a - 1, 0], seeds[:, a - 1, 1]
+            np.bitwise_xor.reduce(hi << _FOLD_LEFT, axis=0, out=seeds[:, a, 0])
+            np.bitwise_xor.reduce(hi >> _FOLD_RIGHT, axis=0, out=seeds[:, a, 1])
+            seeds[:, a, 1] ^= lo
+        # Step 2: every U_a * x^b in one pass over the (sector, group, b)
+        # grid.  The top b bits of hi carry out as (v >> 1) >> (63 - b),
+        # so no lane shifts by 64; the carry is under 2^63, so only its
+        # << 2 and << 7 spill into the new hi limb.
+        lo, hi = seeds[:, :, 0, None], seeds[:, :, 1, None]
+        powers, copowers = _POWERS[:width], _COPOWERS[:width]
+        carry = (hi >> 1) >> copowers
+        new_lo = (lo << powers) ^ carry ^ (carry << 1) ^ (carry << 2) ^ (carry << 7)
+        new_hi = (hi << powers) ^ ((lo >> 1) >> copowers) ^ (carry >> 62) ^ (carry >> 57)
+        chain = np.stack((new_lo, new_hi), axis=-1).reshape(num_sectors, -1, 2)[:, :bps]
+        return chain.view(np.uint8).reshape(-1, 16)
 
     def _check(self, data: bytes, first_sector: int) -> int:
-        if first_sector < 0:
-            raise AesError("sector index must be non-negative")
         if len(data) % self.sector_size:
             raise AesError(
                 f"data length {len(data)} is not a multiple of the "
                 f"sector size {self.sector_size}"
             )
-        return len(data) // self.sector_size
+        num_sectors = len(data) // self.sector_size
+        # plain64 sector numbers are 64-bit: the last one is 2^64 - 1.
+        if first_sector < 0 or first_sector + num_sectors > 1 << 64:
+            raise AesError("sector range is outside plain64's 0 .. 2^64 - 1")
+        return num_sectors
 
     def encrypt(self, plaintext: bytes, first_sector: int = 0) -> bytes:
         """Encrypt whole sectors starting at *first_sector*."""

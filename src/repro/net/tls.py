@@ -65,13 +65,36 @@ def _nonce(direction: bytes, sequence: int) -> bytes:
     return direction + sequence.to_bytes(8, "big")
 
 
+def _message(raw: bytes, error: type, kind: Optional[str] = None) -> dict:
+    """Decode a peer's TLS message (of type ``kind``, if given); anything
+    else is refused as ``error``."""
+    try:
+        message = encoding.decode(raw)
+    except ValueError as exc:
+        raise error("malformed TLS message") from exc
+    if not isinstance(message, dict) or (kind and message.get("type") != kind):
+        raise error(f"expected a TLS {kind or 'message'}")
+    return message
+
+
 def _field(message: dict, name: str, kind: type, error: type):
-    """``message[name]`` if it is a ``kind``; the client sent it, so
+    """``message[name]`` if it is a ``kind``; the peer sent it, so
     anything else is refused as ``error``."""
     value = message.get(name)
     if not isinstance(value, kind):
         raise error(f"TLS field {name!r} missing or not {kind.__name__}")
     return value
+
+
+def _ecdh_share(share_bytes: bytes) -> EcdsaPublicKey:
+    """The peer's ECDH share, refused unless it is a finite P-256 point."""
+    try:
+        share = EcdsaPublicKey.decode(share_bytes)
+    except ValueError as exc:
+        raise TlsHandshakeError(f"undecodable ECDH share: {exc}") from exc
+    if share.curve.name != P256.name or share.point.is_infinity:
+        raise TlsHandshakeError("ECDH share is not a finite P-256 point")
+    return share
 
 
 @dataclass
@@ -107,12 +130,7 @@ class TlsServer:
 
     def handle(self, payload: bytes, context: RequestContext) -> bytes:
         """The wire entry point (bind as the port handler)."""
-        try:
-            message = encoding.decode(payload)
-        except ValueError as exc:
-            raise TlsError("malformed TLS message") from exc
-        if not isinstance(message, dict):
-            raise TlsError("malformed TLS message")
+        message = _message(payload, TlsError)
         message_type = message.get("type")
         if message_type == "client_hello":
             return self._accept(message)
@@ -125,12 +143,7 @@ class TlsServer:
         share_bytes = _field(hello, "ecdh_pub", bytes, TlsHandshakeError)
         server_name = _field(hello, "sni", str, TlsHandshakeError)
 
-        try:
-            client_share = EcdsaPublicKey.decode(share_bytes)
-        except ValueError as exc:
-            raise TlsHandshakeError(f"undecodable ECDH share: {exc}") from exc
-        if client_share.curve.name != P256.name or client_share.point.is_infinity:
-            raise TlsHandshakeError("ECDH share is not a finite P-256 point")
+        client_share = _ecdh_share(share_bytes)
 
         ephemeral = EcdsaPrivateKey.generate(P256, self._rng)
         server_random = self._rng.generate(32)
@@ -236,12 +249,11 @@ class TlsConnection:
                 {"type": "record", "session_id": self.session_id, "data": sealed}
             ),
         )
-        message = encoding.decode(raw)
-        if not isinstance(message, dict) or message.get("type") != "record":
-            raise TlsRecordError("expected a TLS record in response")
+        message = _message(raw, TlsRecordError, "record")
         try:
             plaintext_response = self._s2c.open(
-                _nonce(b"s2c\x00", self._recv_seq), message["data"],
+                _nonce(b"s2c\x00", self._recv_seq),
+                _field(message, "data", bytes, TlsRecordError),
                 aad=self.session_id,
             )
         except AeadError as exc:
@@ -289,30 +301,38 @@ def tls_connect(
             hello_fields.setdefault(field_name, value)
     hello = encoding.encode(hello_fields)
     raw = host.request(dst_ip, port, hello)
-    message = encoding.decode(raw)
-    if not isinstance(message, dict) or message.get("type") != "server_hello":
-        raise TlsHandshakeError("expected server_hello")
-
-    chain = [Certificate.decode(item) for item in message["chain"]]
+    message = _message(raw, TlsHandshakeError, "server_hello")
+    server_random, share_bytes, signature, session_id = (
+        _field(message, name, bytes, TlsHandshakeError)
+        for name in ("random", "ecdh_pub", "sig", "session_id")
+    )
+    try:
+        chain = [Certificate.decode(item)
+                 for item in _field(message, "chain", list, TlsHandshakeError)]
+    except (TypeError, ValueError) as exc:
+        raise TlsHandshakeError(f"undecodable certificate: {exc}") from exc
+    if not chain:
+        raise TlsHandshakeError("empty certificate chain")
+    server_share = _ecdh_share(share_bytes)
     if verify:
         try:
             validate_chain(chain, trust_anchors, now=now, hostname=server_name)
         except CertificateError as exc:
             raise TlsHandshakeError(f"certificate validation failed: {exc}") from exc
     transcript = _transcript_hash(
-        client_random, message["random"], message["ecdh_pub"], server_name
+        client_random, server_random, share_bytes, server_name
     )
-    if not chain[0].public_key.verify(transcript, message["sig"]):
+    if not chain[0].public_key.verify(transcript, signature):
         raise TlsHandshakeError(
             "handshake signature does not verify under the server certificate"
         )
-    shared = ephemeral.ecdh(EcdsaPublicKey.decode(message["ecdh_pub"]))
-    c2s, s2c = _derive_keys(shared, client_random, message["random"])
+    shared = ephemeral.ecdh(server_share)
+    c2s, s2c = _derive_keys(shared, client_random, server_random)
     return TlsConnection(
         host=host,
         dst_ip=dst_ip,
         port=port,
-        session_id=message["session_id"],
+        session_id=session_id,
         c2s=c2s,
         s2c=s2c,
         peer_chain=chain,

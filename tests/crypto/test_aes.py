@@ -11,7 +11,7 @@ checked against code that shares nothing with them but the S-box.
 import numpy as np
 import pytest
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX, AesError
+from repro.crypto.aes import AES, INV_SBOX, SBOX, SLAB_BLOCKS, AesError
 from repro.crypto.drbg import HmacDrbg
 
 
@@ -143,11 +143,16 @@ class TestKnownAnswers:
 class TestTableCore:
     # Counts next to a power of two (63, 65, 4,097) reach the tails of
     # numpy's vectorised inner loops; 65,536 blocks are a 1 MiB request.
+    # Counts at the slab edges run a short last slab, and 0 runs none.
     @pytest.mark.parametrize(
         "key_size,blocks",
-        [(size, blocks) for size in (16, 24, 32)
-         for blocks in (1, 2, 7, 63, 64, 65, 256, 1000, 4097)]
-        + [(32, 65536)],
+        list(dict.fromkeys(
+            [(size, blocks) for size in (16, 24, 32)
+             for blocks in (1, 2, 7, 63, 64, 65, 256, 1000, 4097)]
+            + [(32, 65536)]
+            + [(32, blocks) for blocks in (0, SLAB_BLOCKS - 1, SLAB_BLOCKS,
+                                           SLAB_BLOCKS + 1, 2 * SLAB_BLOCKS + 3)]
+        )),
     )
     def test_matches_reference(self, key_size, blocks):
         rng = HmacDrbg(b"aes-reference:%d:%d" % (key_size, blocks))

@@ -14,7 +14,12 @@ from repro.crypto.modes import AeadCipher, AeadError, CtrCipher, XtsCipher
 
 
 def _reference_xts_encrypt(key: bytes, sector: int, plaintext: bytes) -> bytes:
-    """Naive per-block XTS-plain64 for cross-checking."""
+    """Naive per-block XTS-plain64 for cross-checking.
+
+    Each block's tweak is the previous one times alpha, on Python
+    integers.  The data blocks go through one ECB call, whose core
+    ``test_aes.py`` checks against a byte-wise reference at every size.
+    """
     half = len(key) // 2
     data_aes = AES(key[:half])
     tweak_aes = AES(key[half:])
@@ -22,18 +27,22 @@ def _reference_xts_encrypt(key: bytes, sector: int, plaintext: bytes) -> bytes:
         tweak_aes.encrypt_block(sector.to_bytes(8, "little") + b"\x00" * 8),
         "little",
     )
-    out = bytearray()
-    for offset in range(0, len(plaintext), 16):
-        tweak_bytes = tweak.to_bytes(16, "little")
-        block = bytes(a ^ b for a, b in zip(plaintext[offset : offset + 16], tweak_bytes))
-        enc = data_aes.encrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(enc, tweak_bytes))
+    tweaks = []
+    for _ in range(len(plaintext) // 16):
+        tweaks.append(tweak)
         # Multiply tweak by alpha in GF(2^128), little-endian convention.
         carry = tweak >> 127
         tweak = (tweak << 1) & ((1 << 128) - 1)
         if carry:
             tweak ^= 0x87
-    return bytes(out)
+
+    def xor_tweaks(data: bytes) -> bytes:
+        return b"".join(
+            (int.from_bytes(data[16 * i : 16 * i + 16], "little") ^ t).to_bytes(16, "little")
+            for i, t in enumerate(tweaks)
+        )
+
+    return xor_tweaks(data_aes.encrypt_blocks(xor_tweaks(plaintext)))
 
 
 class TestXts:
@@ -41,25 +50,30 @@ class TestXts:
     def rng(self):
         return HmacDrbg(b"xts-tests")
 
-    # 48-byte sectors are three blocks (not a power of two); 4096-byte
-    # sectors, dm-crypt's size here, cross the tweak chain's doubling
-    # steps at 32, 64 and 128 blocks.
-    @pytest.mark.parametrize("first_sector", [7, 2**32 + 5])
-    @pytest.mark.parametrize("sector_size", [48, 512, 4096])
+    # 48-byte sectors are three blocks (not a power of two); 1,040- and
+    # 2,064-byte sectors (65 and 129 blocks) end in a short group of the
+    # 64-block tweak grid.  "2**64-n" starts each request at the sector
+    # that makes its last one plain64's last, 2^64 - 1.
+    @pytest.mark.parametrize(
+        "first_sector", [7, 2**32 + 5, 0, pytest.param(None, id="2**64-n")]
+    )
+    @pytest.mark.parametrize("sector_size", [48, 512, 4096, 1040, 2064])
     @pytest.mark.parametrize("key_size", [32, 64])
     def test_matches_reference(self, rng, key_size, sector_size, first_sector):
         key = rng.generate(key_size)
         xts = XtsCipher(key, sector_size=sector_size)
-        data = rng.generate(sector_size * 3)
-        got = xts.encrypt(data, first_sector=first_sector)
-        expected = b"".join(
-            _reference_xts_encrypt(
-                key, first_sector + i, data[sector_size * i : sector_size * (i + 1)]
+        for sectors in (1, 2, 3, 16, 256):
+            first = 2**64 - sectors if first_sector is None else first_sector
+            data = rng.generate(sector_size * sectors)
+            got = xts.encrypt(data, first_sector=first)
+            expected = b"".join(
+                _reference_xts_encrypt(
+                    key, first + i, data[sector_size * i : sector_size * (i + 1)]
+                )
+                for i in range(sectors)
             )
-            for i in range(3)
-        )
-        assert got == expected
-        assert xts.decrypt(got, first_sector=first_sector) == data
+            assert got == expected
+            assert xts.decrypt(got, first_sector=first) == data
 
     @pytest.mark.parametrize("key_size", [32, 64])
     def test_matches_reference_for_64k_request(self, rng, key_size):
@@ -126,6 +140,17 @@ class TestXts:
         xts = XtsCipher(rng.generate(64))
         with pytest.raises(AesError):
             xts.encrypt(b"\x00" * 4096, -1)
+
+    def test_last_plain64_sector_round_trips_and_the_next_is_rejected(self, rng):
+        xts = XtsCipher(rng.generate(64))
+        data = rng.generate(4096)
+        last = 2**64 - 1
+        assert xts.decrypt(xts.encrypt(data, last), last) == data
+        for sectors, first in ((1, 2**64), (2, last), (1, 2**70)):
+            with pytest.raises(AesError):
+                xts.encrypt(data * sectors, first)
+            with pytest.raises(AesError):
+                xts.decrypt(data * sectors, first)
 
     def test_equal_half_keys_rejected(self, rng):
         half = rng.generate(32)

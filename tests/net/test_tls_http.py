@@ -23,6 +23,7 @@ from repro.net.tls import (
     TlsHandshakeError,
     TlsRecordError,
     TlsServer,
+    _transcript_hash,
     tls_connect,
 )
 from repro.pki.ca import WebPki
@@ -237,6 +238,124 @@ class TestUntrustedClientFields:
         # numbers, so its owner's next record still authenticates.
         response = HttpResponse.decode(connection.request(HttpRequest("GET", "/").encode()))
         assert response.status == 200
+
+
+class TestUntrustedServerFields:
+    """Every field a server sends is refused with a typed TLS error when
+    it is missing, of the wrong type or undecodable: never ``KeyError``,
+    ``TypeError`` or a decode ``ValueError``, which ``HttpClient`` (it
+    catches ``ConnectionError``) would pass to the browser."""
+
+    def _tamper(self, world, kind, overrides=None, resign=False, junk=False):
+        """Put a proxy in front of the server that edits its ``kind``
+        replies: *overrides* replace fields (``None`` drops one) or
+        *junk* replaces the whole reply.  With *resign* the proxy signs
+        the edited transcript with the server's key, as a malicious
+        server would, so only the client's share checks can refuse it."""
+        tls = world["http"].tls
+
+        def handle(payload, context):
+            reply = encoding.decode(tls.handle(payload, context))
+            if reply["type"] != kind:
+                return encoding.encode(reply)
+            if junk:
+                return b"\xff\xfe"
+            reply.update(overrides)
+            if resign:
+                hello = encoding.decode(payload)
+                reply["sig"] = world["server_key"].sign(_transcript_hash(
+                    hello["random"], reply["random"], reply["ecdh_pub"], hello["sni"]
+                ))
+            return encoding.encode(
+                {name: value for name, value in reply.items() if value is not None}
+            )
+
+        world["server_host"].listen(443, handle)
+
+    def _connect(self, world):
+        return tls_connect(
+            world["client_host"], "10.0.0.1", 443, "service.example",
+            [world["pki"].trust_anchor], world["rng"].fork(b"c10"), NOW,
+        )
+
+    def test_untouched_replies_are_accepted(self, world):
+        self._tamper(world, "server_hello", {})
+        connection = self._connect(world)
+        response = HttpResponse.decode(connection.request(HttpRequest("GET", "/").encode()))
+        assert response.status == 200
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"chain": None},
+            {"sig": None},
+            {"random": None},
+            {"ecdh_pub": None},
+            {"session_id": None},
+            {"chain": b"not-a-list"},
+            {"chain": []},
+            {"chain": [7]},
+            {"chain": [b"junk"]},
+            {"sig": 7},
+            {"random": "not-bytes"},
+            {"ecdh_pub": 7},
+            {"session_id": 5},
+        ],
+        ids=[
+            "no-chain", "no-sig", "no-random", "no-ecdh_pub", "no-session_id",
+            "bytes-chain", "empty-chain", "int-in-chain", "junk-chain", "int-sig",
+            "str-random", "int-ecdh_pub", "int-session_id",
+        ],
+    )
+    def test_bad_hello_field_is_a_handshake_error(self, world, overrides):
+        self._tamper(world, "server_hello", overrides)
+        with pytest.raises(TlsHandshakeError):
+            self._connect(world)
+
+    @pytest.mark.parametrize(
+        "share",
+        [
+            b"",
+            b"\xff\xfe",
+            b"\x05P-256\x04" + (1).to_bytes(32, "big") * 2,
+            b"\x05P-256\x00",
+            b"\x05P-999" + bytes(65),
+            None,
+        ],
+        ids=["empty", "garbage", "off-curve", "infinity", "unknown-curve", "p384"],
+    )
+    def test_bad_signed_share_is_a_handshake_error(self, world, share):
+        if share is None:
+            share = EcdsaPrivateKey.generate(P384, world["rng"].fork(b"p384")).public_key().encode()
+        self._tamper(world, "server_hello", {"ecdh_pub": share}, resign=True)
+        with pytest.raises(TlsHandshakeError):
+            self._connect(world)
+
+    def test_undecodable_hello_is_a_handshake_error(self, world):
+        self._tamper(world, "server_hello", junk=True)
+        with pytest.raises(TlsHandshakeError):
+            self._connect(world)
+
+    @pytest.mark.parametrize("data", [None, "text", 7], ids=["no-data", "str-data", "int-data"])
+    def test_bad_record_data_is_a_record_error(self, world, data):
+        self._tamper(world, "record", {"data": data})
+        connection = self._connect(world)
+        with pytest.raises(TlsRecordError):
+            connection.request(HttpRequest("GET", "/").encode())
+
+    def test_undecodable_record_is_a_record_error(self, world):
+        self._tamper(world, "record", junk=True)
+        connection = self._connect(world)
+        with pytest.raises(TlsRecordError):
+            connection.request(HttpRequest("GET", "/").encode())
+
+    def test_http_client_raises_a_tls_error(self, world):
+        self._tamper(world, "server_hello", {"chain": None})
+        client = HttpClient(
+            world["client_host"], [world["pki"].trust_anchor], world["rng"].fork(b"hc9"),
+        )
+        with pytest.raises(TlsHandshakeError):
+            client.get("https://service.example/")
 
 
 class TestHttpClient:
