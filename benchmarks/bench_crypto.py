@@ -48,6 +48,9 @@ BATCH_CHAINS = int(os.environ.get("BENCH_CRYPTO_BATCH_CHAINS", "16"))
 #: Required batch-vs-naive speedup on cold 3-cert P-384 chains.  Full
 #: runs clear 10x; CI smoke lowers the floor to 4x for noisy runners.
 MIN_BATCH_SPEEDUP = float(os.environ.get("BENCH_CRYPTO_MIN_BATCH_SPEEDUP", "10.0"))
+#: Point-cache churn phase: hot keys, and rounds of one-shot keys.
+CHURN_HOT_KEYS = 4
+CHURN_ROUNDS = 3
 
 CURVES = {"P-256": "sha256", "P-384": "sha384"}
 
@@ -191,42 +194,61 @@ def _measure_batch() -> dict:
 
 
 def _measure_point_cache_churn() -> dict:
-    """Realistic point-cache behaviour under a many-key cold-chain storm:
-    more distinct public keys than the cache holds, two verifications
-    each (crossing ``hot_threshold``), so the JSON reports genuine
-    entries/evictions instead of the single-key ``entries: 1``."""
+    """The point cache under a fleet rollout's key pattern.
+
+    Each round verifies twice under each of a few hot keys (the chain
+    and gateway keys every re-attestation checks), interleaved with more
+    keys seen once than the cache holds (the replaced nodes' fresh chip
+    and node keys), which then run on past the cache's capacity before
+    the next round.  Every hot key needs its fixed-base table built once:
+    ``tables_built`` equals ``hot_keys`` unless one-shot keys evict
+    tables, in which case every round rebuilds them."""
     curve = ec.get_curve("P-256")
     cache = ec.reset_point_cache()
-    keys = cache.capacity + 12  # overcommit: forces LRU eviction churn
-    pairs = []
-    for index in range(keys):
-        private = EcdsaPrivateKey.generate(
-            curve, HmacDrbg(b"bench-churn-%d" % index)
-        )
-        message = b"churn message %d" % index
+    size = curve.coordinate_size
+
+    def signed(label: bytes):
+        private = EcdsaPrivateKey.generate(curve, HmacDrbg(b"bench-churn-" + label))
+        message = b"churn message " + label
         signature = private.sign(message)
-        size = curve.coordinate_size
-        pairs.append((
+        return (
             private.public_key(),
             message,
             int.from_bytes(signature[:size], "big"),
             int.from_bytes(signature[size:], "big"),
-        ))
+        )
+
+    hot = [signed(b"hot-%d" % index) for index in range(CHURN_HOT_KEYS)]
+    one_shot_per_round = cache.capacity + 12
+    sequence = []
+    for round_index in range(CHURN_ROUNDS):
+        one_shot = [
+            signed(b"%d-%d" % (round_index, index))
+            for index in range(one_shot_per_round)
+        ]
+        for key in hot + hot:
+            sequence += [key, one_shot.pop()]
+        sequence += one_shot
     started = time.perf_counter()
-    for public, message, r, s in pairs:
-        assert public.verify_rs(message, r, s, "sha256")
-    # Second sweep in reverse: the LRU's resident tail hits (and earns
-    # fixed-base tables), the evicted head rebuilds — realistic churn.
-    for public, message, r, s in reversed(pairs):
+    for public, message, r, s in sequence:
         assert public.verify_rs(message, r, s, "sha256")
     elapsed = time.perf_counter() - started
     stats = cache.stats()
-    stats["capacity"] = cache.capacity
-    stats["distinct_keys"] = keys
-    stats["evicted"] = max(0, stats["misses"] - stats["entries"])
-    stats["verifications_per_sec"] = (2 * keys) / elapsed
+    churn = {
+        "capacity": cache.capacity,
+        "hot_keys": CHURN_HOT_KEYS,
+        "tables_built": stats["fixed_tables_built"],
+        "one_shot_keys_per_round": one_shot_per_round,
+        "rounds": CHURN_ROUNDS,
+        "distinct_keys": CHURN_HOT_KEYS + CHURN_ROUNDS * one_shot_per_round,
+        "entries": stats["entries"],
+        "hits": stats["hits"],
+        "misses": stats["misses"],
+        "evicted": stats["misses"] - stats["entries"],
+        "verifications_per_sec": len(sequence) / elapsed,
+    }
     ec.reset_point_cache()
-    return stats
+    return churn
 
 
 def main() -> dict:
@@ -270,9 +292,11 @@ def main() -> dict:
     churn = _measure_point_cache_churn()
     results["point_cache_churn"] = churn
     print(
-        f"point-cache churn: {churn['distinct_keys']} keys over "
-        f"capacity {churn['capacity']}: {churn['entries']} resident, "
-        f"{churn['evicted']} evicted, {churn['hits']} hits"
+        f"point-cache churn: {churn['hot_keys']} hot keys among "
+        f"{churn['one_shot_keys_per_round']} one-shot keys a round for "
+        f"{churn['rounds']} rounds, capacity {churn['capacity']}: "
+        f"{churn['tables_built']} tables built, {churn['evicted']} evicted, "
+        f"{churn['hits']} hits"
     )
 
     output = Path(__file__).resolve().parent / "BENCH_crypto.json"

@@ -16,17 +16,23 @@ here, so scalar multiplication is the system-wide throughput ceiling:
 
 * **wNAF multiplication** (:func:`multiply_wnaf`) — width-5 windowed
   non-adjacent form over precomputed odd multiples, for arbitrary points.
-* **Fixed-base tables** (:class:`FixedBaseTable`) — per-curve windowed
-  tables for the generators, built lazily and cached, turning ``k * G``
-  into ~n/width mixed additions with *no* doublings.  Table entries are
-  batch-normalised to affine (one modular inversion for the whole table,
-  Montgomery's trick) so every table addition is a cheap mixed add.
+* **Fixed-base tables** (:class:`FixedBaseTable`) — signed-digit
+  windowed tables, one class for the generators (width 8, built lazily
+  and cached per curve) and for hot public keys (width 5), turning
+  ``k * B`` into ~bits/width mixed additions with *no* doublings.  A
+  row holds only the positive half of its digits (a negative digit
+  negates y), so a table has half the entries of an unsigned one, and
+  it is built with mixed additions.  Table entries are batch-normalised
+  to affine (one modular inversion for the whole table, Montgomery's
+  trick) so every table addition is a cheap mixed add.
 * **A per-public-key precompute cache** (:class:`PointPrecomputeCache`)
-  — keyed by point, bounded LRU.  The first use of a key precomputes its
-  wNAF odd multiples; from the second use on, the key is considered hot
-  and gets its own fixed-base table, so the keys Revelio verifies
-  constantly (VCEK, ASK, ARK, site certificates, subnet keys) run at
-  fixed-base speed.
+  — keyed by point, two bounded LRUs.  The first use of a key
+  precomputes its wNAF odd multiples; from the second use on, the key
+  is considered hot and gets its own fixed-base table, so the keys
+  Revelio verifies constantly (VCEK, ASK, ARK, site certificates,
+  subnet keys) run at fixed-base speed.  Keys with a table and keys
+  without one are kept apart, so the many keys a rollout sees once
+  never evict a table.
 * **Strauss–Shamir joint multiplication** (:func:`verification_multiply`)
   — ``u1*G + u2*Q`` in one interleaved pass for ECDSA verification,
   sharing the doubling chain between both scalars; hot keys skip the
@@ -128,8 +134,10 @@ _INFINITY: _Jacobian = (1, 1, 0)
 #: wNAF window width for arbitrary-point multiplication (2^(w-2) = 8
 #: precomputed odd multiples per point).
 WNAF_WIDTH = 5
-#: Window width of the per-generator fixed-base tables.
-GENERATOR_TABLE_WIDTH = 7
+#: Window width of the per-generator fixed-base tables (signed digits:
+#: 128 entries a row, at most 33 / 49 additions per P-256 / P-384
+#: multiply).
+GENERATOR_TABLE_WIDTH = 8
 #: Window width of per-public-key fixed-base tables (smaller: these are
 #: built at runtime for every hot key, so build cost matters).
 POINT_TABLE_WIDTH = 5
@@ -340,31 +348,47 @@ def multiply_wnaf(
 
 
 class FixedBaseTable:
-    """Windowed fixed-base multiplication: radix-2^w digit decomposition
-    over a precomputed table ``table[j][d-1] = d * 2^(j*w) * B``.
+    """Signed-digit fixed-base multiplication over a precomputed table
+    ``rows[j][d-1] = d * 2^(j*w) * B`` for d = 1 .. 2^(w-1).
 
-    A multiplication is then one mixed addition per non-zero digit — no
-    doublings at all.  Entries are batch-normalised to affine so every
-    addition is the cheap :func:`_jac_add_affine`.
+    The scalar is recoded into radix-2^w digits in
+    [-(2^(w-1) - 1), 2^(w-1)]: a window worth more than 2^(w-1) becomes
+    that value minus 2^w and carries one into the next window, and a
+    negative digit adds its row entry with y negated.  A multiplication
+    is then one mixed addition per non-zero digit — no doublings at
+    all.  A scalar below 2^bits carries at most into bit ``bits``, so
+    ``bits // w + 1`` windows (one more than an unsigned table needs
+    when w divides ``bits``) take every carry, and each row holds half
+    the 2^w - 1 entries of an unsigned one.
+
+    Row j is built with mixed additions from its affine base
+    ``2^(j*w) * B``.  The next row's base, ``2^w`` times this one's, is
+    one doubling of the row's top entry, normalised on its own so the
+    next row can use mixed additions too.  The entries are then
+    batch-normalised to affine (one inversion for the whole table) so
+    every multiplication step is the cheap :func:`_jac_add_affine`.
     """
 
-    __slots__ = ("curve", "width", "windows", "_rows")
+    __slots__ = ("curve", "width", "windows", "_offset", "_rows")
 
     def __init__(self, curve: Curve, x: int, y: int, width: int):
         self.curve = curve
         self.width = width
-        self.windows = (curve.n.bit_length() + width - 1) // width
-        per_row = (1 << width) - 1
+        self.windows = curve.n.bit_length() // width + 1
+        per_row = 1 << (width - 1)
+        self._offset = sum(
+            (per_row - 1) << (window * width) for window in range(self.windows)
+        )
         flat: List[_Jacobian] = []
-        base: _Jacobian = (x, y, 1)
-        for _ in range(self.windows):
-            entry = base
+        bx, by = x, y
+        for row in range(self.windows):
+            entry: _Jacobian = (bx, by, 1)
             flat.append(entry)
             for _ in range(per_row - 1):
-                entry = _jac_add(entry, base, curve)
+                entry = _jac_add_affine(entry, bx, by, curve)
                 flat.append(entry)
-            for _ in range(width):
-                base = _jac_double(base, curve)
+            if row + 1 < self.windows:
+                bx, by = _jac_to_affine(_jac_double(entry, curve), curve)
         affine = _batch_to_affine(flat, curve)
         self._rows: List[List[_Affine]] = [
             affine[row * per_row : (row + 1) * per_row]
@@ -373,18 +397,25 @@ class FixedBaseTable:
 
     def multiply(self, scalar: int) -> _Jacobian:
         """``scalar * B`` (scalar reduced mod n), in Jacobian form."""
-        scalar = scalar % self.curve.n
-        result = _INFINITY
-        mask = (1 << self.width) - 1
         curve = self.curve
-        window = 0
-        while scalar:
-            digit = scalar & mask
-            if digit:
-                ax, ay = self._rows[window][digit - 1]
+        p = curve.p
+        width = self.width
+        mask = (1 << width) - 1
+        bias = (1 << (width - 1)) - 1
+        # Adding bias to every window (``_offset``) makes the carries of
+        # the signed recoding ordinary binary carries: each window of the
+        # sum, less bias, is the signed digit.
+        scalar = scalar % curve.n + self._offset
+        result = _INFINITY
+        for row in self._rows:
+            digit = (scalar & mask) - bias
+            scalar >>= width
+            if digit > 0:
+                ax, ay = row[digit - 1]
                 result = _jac_add_affine(result, ax, ay, curve)
-            scalar >>= self.width
-            window += 1
+            elif digit:
+                ax, ay = row[-digit - 1]
+                result = _jac_add_affine(result, ax, (-ay) % p, curve)
         return result
 
 
@@ -432,83 +463,107 @@ class _PointEntry:
         self.uses = 0
 
 
+#: (curve name, x, y) of an affine point.
+_PointKey = Tuple[str, int, int]
+
+
 class PointPrecomputeCache:
-    """Bounded LRU of per-point precomputations, keyed by the point.
+    """Per-point precomputations, keyed by the point, in two bounded LRUs.
 
     First use of a point builds its wNAF odd multiples (cheap — eight
-    additions); from :attr:`hot_threshold` uses on, the point earns a
-    private fixed-base table and multiplications stop doubling entirely.
-    This is what makes the hot verification keys (VCEK, ASK, ARK, site
-    certificates) effectively table-backed after first contact.
+    additions) and files the entry in the LRU of keys without a table.
+    At :attr:`hot_threshold` uses the point earns a private fixed-base
+    table, moves to the LRU of keys with one, and its multiplications
+    stop doubling entirely.  Each LRU holds up to :attr:`capacity` keys,
+    so a key used once can evict only another key without a table.  A
+    fleet rollout verifies most of its signatures under keys it sees
+    once (a fresh chip or node key per replaced node); in one LRU they
+    would push the hot verification keys (VCEK, ASK, ARK, site
+    certificates) out and have their tables rebuilt over and over.  A
+    newly hot key always gets its table; when the table LRU is full,
+    the least recently used table goes.
     """
 
     def __init__(self, capacity: int = 48, hot_threshold: int = 2):
         self.capacity = capacity
         self.hot_threshold = hot_threshold
-        self._entries: "OrderedDict[Tuple[str, int, int], _PointEntry]" = (
-            OrderedDict()
-        )
+        self._tabled: "OrderedDict[_PointKey, _PointEntry]" = OrderedDict()
+        self._untabled: "OrderedDict[_PointKey, _PointEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.fixed_builds = 0
 
+    def _touch(self, key: _PointKey) -> Optional[_PointEntry]:
+        """The entry for *key*, made most recent in its LRU, if present."""
+        for lru in (self._tabled, self._untabled):
+            entry = lru.get(key)
+            if entry is not None:
+                lru.move_to_end(key)
+                return entry
+        return None
+
+    def _trim(self) -> None:
+        for lru in (self._tabled, self._untabled):
+            if len(lru) > self.capacity:
+                lru.popitem(last=False)
+
     def lookup(self, curve: Curve, x: int, y: int) -> _PointEntry:
         """The precompute entry for an affine point, building on miss."""
         key = (curve.name, x, y)
-        entry = self._entries.get(key)
+        entry = self._touch(key)
         if entry is None:
             self.misses += 1
             entry = _PointEntry(_odd_multiples_affine((x, y, 1), curve))
-            self._entries[key] = entry
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._untabled[key] = entry
         else:
             self.hits += 1
-            self._entries.move_to_end(key)
         entry.uses += 1
         if entry.fixed is None and entry.uses >= self.hot_threshold:
             entry.fixed = FixedBaseTable(curve, x, y, POINT_TABLE_WIDTH)
             self.fixed_builds += 1
+            self._tabled[key] = self._untabled.pop(key)
+        self._trim()
         return entry
 
     def peek(self, curve: Curve, x: int, y: int) -> Optional[_PointEntry]:
-        """The entry for a point if present — never builds anything.
+        """The entry for a point if present — never builds anything, and
+        never moves a key between the LRUs.
 
         The batch verifier uses this so cold keys don't get per-point
         odd-multiple builds (it amortises those across the whole batch
-        and then :meth:`seed`\\ s the results back in).
+        and then :meth:`seed`\\ s the results back in).  A use counted
+        here still counts towards the table the next :meth:`lookup`
+        builds.
         """
-        key = (curve.name, x, y)
-        entry = self._entries.get(key)
+        entry = self._touch((curve.name, x, y))
         if entry is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
             entry.uses += 1
         return entry
 
     def seed(self, curve: Curve, x: int, y: int,
              odd_multiples: List[_Affine]) -> _PointEntry:
         """Insert externally built odd multiples for a point (counted as
-        the miss the builder absorbed), so later per-signature
-        verifications of the same key start warm."""
+        the miss the builder absorbed, and as one use, without a table),
+        so later per-signature verifications of the same key start
+        warm."""
         key = (curve.name, x, y)
-        entry = self._entries.get(key)
+        entry = self._tabled.get(key) or self._untabled.get(key)
         if entry is None:
             self.misses += 1
             entry = _PointEntry(list(odd_multiples))
-            self._entries[key] = entry
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._untabled[key] = entry
+            self._trim()
         entry.uses += 1
         return entry
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tabled) + len(self._untabled)
 
     def stats(self) -> dict:
         """Plain-data counters for benchmarks and the trace layer."""
         return {
-            "entries": len(self._entries),
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "fixed_tables_built": self.fixed_builds,

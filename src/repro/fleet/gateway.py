@@ -64,7 +64,7 @@ BALANCERS = ("round_robin", "least_outstanding", "weighted_latency")
 #: this set against the codes their scenarios actually reached, so a
 #: new code added here without a scenario fails loudly.
 GATEWAY_REASON_CODES = frozenset({
-    "backend_unreachable",   # probe/forward TLS connect failed
+    "backend_unreachable",   # probe/forward TLS connect failed, or hello reply unreadable
     "family_mismatch",       # evidence family != registered family
     "health_timeout",        # liveness probe exceeded the monitor budget
     "kds_unreachable",       # verdict freshness unconfirmable (fail closed)
@@ -137,6 +137,17 @@ class BackendState:
     def active(self) -> bool:
         """Still allowed to serve existing sessions."""
         return self.state in ("admitted", "draining")
+
+
+def _reply_session_id(raw: bytes) -> Optional[bytes]:
+    """The session id a backend's hello reply names (None if it names
+    none).  Raises ``ValueError`` for a reply that does not decode or
+    whose ``session_id`` is not bytes."""
+    response = encoding.decode(raw)
+    session_id = response.get("session_id") if isinstance(response, dict) else None
+    if session_id is not None and not isinstance(session_id, bytes):
+        raise ValueError("session_id is not bytes")
+    return session_id
 
 
 class FleetGateway:
@@ -680,10 +691,15 @@ class FleetGateway:
                 self.evict(backend.ip_address, "backend_unreachable", str(exc))
                 self._count("retries")
                 continue
-            response = encoding.decode(raw)
-            session_id = (
-                response.get("session_id") if isinstance(response, dict) else None
-            )
+            try:
+                session_id = _reply_session_id(raw)
+            except ValueError as exc:
+                # No honest backend sends this reply and no client can
+                # make one do so: the backend is at fault.
+                self.evict(backend.ip_address, "backend_unreachable",
+                           f"unreadable hello reply: {exc}")
+                self._count("retries")
+                continue
             if session_id is not None:
                 self._affinity[session_id] = backend.ip_address
             self._count("sessions_opened")

@@ -1,6 +1,9 @@
 """Fast-path EC engine tests: every optimised multiplication strategy
 must agree with the retained naive ``_jac_multiply`` oracle, on random
-scalars and on the edge cases (0, 1, n-1, n, infinity)."""
+scalars and on the edge cases (0, 1, n-1, n, infinity, and the scalars
+whose signed-digit recoding carries)."""
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from repro.crypto.ec import (
 CURVES = [P256, P384]
 CURVE_IDS = [c.name for c in CURVES]
 EDGE_SCALARS = [0, 1, 2, 3]  # plus n-1, n, n+1 added per curve below
+TABLE_WIDTHS = range(2, 9)
 
 
 def naive(curve, jac, scalar):
@@ -43,6 +47,28 @@ def edge_scalars(curve):
     return EDGE_SCALARS + [curve.n - 1, curve.n, curve.n + 1]
 
 
+def carry_scalars(curve, width):
+    """Scalars on the signed recoding's carries: n - 1 carries into the
+    top window at every width, 2^bits - 1 mod n runs long carry chains,
+    and the scalars with every full window 2^(w-1) (the largest digit
+    that does not carry) or 2^(w-1) + 1 (the smallest that does) sit on
+    the carry boundary in every window."""
+    bits = curve.n.bit_length()
+    half = 1 << (width - 1)
+    full_windows = range(bits // width)
+    return [
+        curve.n - 1,
+        ((1 << bits) - 1) % curve.n,
+        sum(half << (j * width) for j in full_windows),
+        sum((half + 1) << (j * width) for j in full_windows),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def generator_table_of_width(curve, width):
+    return FixedBaseTable(curve, curve.gx, curve.gy, width)
+
+
 @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
 class TestAgreementWithNaive:
     def test_wnaf_on_edge_scalars(self, curve):
@@ -52,11 +78,29 @@ class TestAgreementWithNaive:
             assert fast == naive(curve, g, scalar % curve.n), scalar
 
     def test_fixed_base_table_on_edge_scalars(self, curve):
-        table = FixedBaseTable(curve, curve.gx, curve.gy, 4)
         g = (curve.gx, curve.gy, 1)
-        for scalar in edge_scalars(curve):
-            fast = ec._jac_to_affine(table.multiply(scalar), curve)
-            assert fast == naive(curve, g, scalar % curve.n), scalar
+        for width in TABLE_WIDTHS:
+            table = generator_table_of_width(curve, width)
+            for scalar in edge_scalars(curve) + carry_scalars(curve, width):
+                fast = ec._jac_to_affine(table.multiply(scalar), curve)
+                assert fast == naive(curve, g, scalar % curve.n), (width, scalar)
+
+    def test_signed_table_layout(self, curve):
+        """Rows of d * 2^(jw) * B for d = 1 .. 2^(w-1), and one window
+        beyond the n.bit_length() // w full ones for the top carry."""
+        bits = curve.n.bit_length()
+        for width in TABLE_WIDTHS:
+            table = generator_table_of_width(curve, width)
+            assert table.windows == len(table._rows) == bits // width + 1
+            assert {len(row) for row in table._rows} == {1 << (width - 1)}
+        entries = {
+            "P-256": (4224, 832), "P-384": (6272, 1232),
+        }[curve.name]
+        key = FixedBaseTable(curve, *random_point(curve, b"layout"), ec.POINT_TABLE_WIDTH)
+        assert (
+            sum(map(len, ec.generator_table(curve)._rows)),
+            sum(map(len, key._rows)),
+        ) == entries
 
     def test_generator_table_on_edge_scalars(self, curve):
         g = (curve.gx, curve.gy, 1)
@@ -102,13 +146,16 @@ def test_wnaf_multiply_matches_naive_on_random_scalars(scalar, data):
     assert fast == naive(curve, g, scalar % curve.n)
 
 
-@settings(max_examples=30, deadline=None)
-@given(scalar=st.integers(min_value=0), data=st.data())
-def test_fixed_base_matches_naive_on_random_scalars(scalar, data):
+@settings(max_examples=50, deadline=None)
+@given(scalar=st.integers(min_value=0),
+       width=st.sampled_from(TABLE_WIDTHS), data=st.data())
+def test_fixed_base_matches_naive_on_random_scalars(scalar, width, data):
     curve = data.draw(st.sampled_from(CURVES))
     g = (curve.gx, curve.gy, 1)
-    fast = ec._jac_to_affine(multiply_base(curve, scalar), curve)
-    assert fast == naive(curve, g, scalar % curve.n)
+    expected = naive(curve, g, scalar % curve.n)
+    assert ec._jac_to_affine(multiply_base(curve, scalar), curve) == expected
+    table = generator_table_of_width(curve, width)
+    assert ec._jac_to_affine(table.multiply(scalar), curve) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,7 +194,7 @@ def test_wnaf_digits_reconstruct_and_are_nonadjacent(scalar, width):
 class TestPointPrecomputeCache:
     def test_hot_key_earns_fixed_table_and_lru_evicts(self):
         cache = PointPrecomputeCache(capacity=2, hot_threshold=2)
-        points = [random_point(P256, b"lru%d" % i) for i in range(3)]
+        points = [random_point(P256, b"lru%d" % i) for i in range(4)]
 
         first = cache.lookup(P256, *points[0])
         assert first.fixed is None  # one use: odd multiples only
@@ -155,11 +202,86 @@ class TestPointPrecomputeCache:
         assert first.fixed is not None  # second use crossed hot_threshold
         assert cache.stats()["fixed_tables_built"] == 1
 
-        cache.lookup(P256, *points[1])
-        cache.lookup(P256, *points[2])  # capacity 2: evicts points[0]
-        assert len(cache) == 2
-        evicted = cache.lookup(P256, *points[0])  # rebuilt from scratch
-        assert evicted is not first and evicted.uses == 1
+        # Keys without a table evict only each other: capacity 2 holds
+        # two of them beside the table.
+        cold = cache.lookup(P256, *points[1])
+        cache.lookup(P256, *points[2])
+        cache.lookup(P256, *points[3])  # evicts points[1], not points[0]
+        assert len(cache) == 3
+        assert cache.lookup(P256, *points[0]) is first
+        evicted = cache.lookup(P256, *points[1])  # rebuilt from scratch
+        assert evicted is not cold and evicted.uses == 1
+        assert evicted.fixed is None
+        assert cache.stats()["fixed_tables_built"] == 1
+
+    def test_one_shot_keys_leave_a_hot_table_alone(self):
+        """A rollout's pattern: one hot key among more one-shot keys
+        than the cache holds.  The hot key's table is built once."""
+        cache = PointPrecomputeCache()
+        hot = random_point(P256, b"rollout-hot")
+        table = cache.lookup(P256, *hot)
+        cache.lookup(P256, *hot)
+        assert table.fixed is not None
+        for index in range(cache.capacity + 12):
+            one_shot = ec._jac_to_affine(multiply_base(P256, 1000 + index), P256)
+            assert cache.lookup(P256, *one_shot).fixed is None
+        for _ in range(2):
+            assert cache.lookup(P256, *hot) is table
+        assert cache.stats()["fixed_tables_built"] == 1
+
+    def test_new_hot_key_earns_a_table_when_tables_fill_the_lru(self):
+        cache = PointPrecomputeCache(capacity=2, hot_threshold=2)
+        old = [random_point(P256, b"old-table%d" % i) for i in range(2)]
+        for point in old + old:
+            cache.lookup(P256, *point)
+        assert cache.stats()["fixed_tables_built"] == 2  # table LRU full
+
+        newcomer = random_point(P256, b"newcomer")
+        for index in range(2):
+            one_shot = random_point(P256, b"between%d" % index)
+            cache.lookup(P256, *one_shot)
+            entry = cache.lookup(P256, *newcomer)
+        assert entry.fixed is not None
+        assert cache.stats()["fixed_tables_built"] == 3
+        # The least recently used table made room.
+        assert cache.lookup(P256, *old[1]).fixed is not None
+        assert cache.lookup(P256, *old[0]).uses == 1
+
+    def test_peek_and_seed_leave_table_building_to_lookup(self):
+        """The batch verifier's seam: ``peek`` never builds a table or
+        moves a key into the table LRU, ``seed`` files a key without a
+        table as one use, and the next ``lookup`` past the threshold
+        builds the table once."""
+        cache = PointPrecomputeCache(capacity=2, hot_threshold=2)
+        key = random_point(P256, b"seeded")
+        assert cache.peek(P256, *key) is None  # absent: nothing built
+        assert len(cache) == 0
+
+        odd = ec._odd_multiples_affine((key[0], key[1], 1), P256)
+        seeded = cache.seed(P256, *key, odd)
+        assert (seeded.uses, seeded.fixed) == (1, None)
+        assert cache.stats()["misses"] == 1
+        assert cache.peek(P256, *key) is seeded
+        assert (seeded.uses, seeded.fixed) == (2, None)
+        assert cache.stats()["fixed_tables_built"] == 0
+
+        assert cache.lookup(P256, *key) is seeded  # builds the table
+        assert cache.lookup(P256, *key).fixed is seeded.fixed is not None
+        assert cache.stats()["fixed_tables_built"] == 1
+
+        # A peeked key stays among the keys without a table: seeded
+        # one-shot keys evict it and leave the table alone.
+        def seed(point):
+            cache.seed(P256, *point, ec._odd_multiples_affine((*point, 1), P256))
+
+        peeked = random_point(P256, b"peeked")
+        seed(peeked)
+        cache.peek(P256, *peeked)
+        for index in range(2):
+            seed(random_point(P256, b"seed-one-shot%d" % index))
+        assert cache.peek(P256, *peeked) is None
+        assert cache.peek(P256, *key) is seeded
+        assert cache.stats()["fixed_tables_built"] == 1
 
     def test_verification_multiply_uses_process_cache(self):
         ec.reset_point_cache()

@@ -266,6 +266,30 @@ class TestUntrustedEnvelope:
         assert gateway.counters["sessions_opened"] == opened
         assert gateway._affinity == {session_id: backend_ip}
 
+    @pytest.mark.parametrize(
+        "reply",
+        [b"\xff\xff", encoding.encode({"session_id": [1]})],
+        ids=["undecodable", "session-id-not-bytes"],
+    )
+    def test_unreadable_hello_reply_evicts_the_backend(self, fleet_build, reply):
+        """No honest backend answers a hello like this, so the backend
+        is evicted as unreachable and the next candidate is tried; with
+        none left the hello fails ``no_healthy_backend``."""
+        deployment, gateway, _ = make_world(fleet_build, num_nodes=2)
+        for deployed in deployment.nodes:
+            deployed.host.listen(HTTPS_PORT, lambda payload, context: reply)
+        client = deployment.network.add_host("hello-sender", "10.66.2.2")
+        with pytest.raises(GatewayError) as caught:
+            client.request(
+                gateway.host.ip_address, HTTPS_PORT,
+                encoding.encode({"type": "client_hello"}),
+            )
+        assert caught.value.reason == "no_healthy_backend"
+        assert {b.state for b in gateway.backends.values()} == {"evicted"}
+        assert gateway.counters["evictions.backend_unreachable"] == 2
+        assert gateway.counters["retries"] == 2
+        assert gateway._affinity == {}
+
     def test_absent_routing_fields_keep_their_defaults(self, sync_world):
         deployment, gateway, _ = sync_world
         error, malformed = self._send(
