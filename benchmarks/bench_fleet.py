@@ -65,7 +65,6 @@ from repro.fleet import (
     LiteFleet,
     MeshWorkload,
     UserPool,
-    revoke_family,
 )
 from repro.fleet.drain import rolling_rollout
 from repro.sim import EventKernel, SimRng
@@ -399,7 +398,7 @@ def phase_mixed_fleet(args, build) -> dict:
 
     def delayed_revocation():
         yield sleep(args.revoke_at)
-        revoke_family(gateway, "tdx")
+        gateway.revoke_family("tdx")
 
     workload, _, _ = _run_storm(
         deployment, gateway, kernel,

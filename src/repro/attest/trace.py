@@ -185,10 +185,10 @@ class StorageCounters:
     """Aggregated device-mapper I/O counters (``repro.storage.dm``).
 
     Storage targets report per-operation counts (reads, writes, verity
-    hits/misses, corruption rejections, cache hits, injected faults)
-    and simulated latency here, alongside their per-target stats, so
-    the CLI summary and the bench harness see boot-to-mount I/O cost in
-    the same place as verification cost.
+    hits/misses, corruption rejections, cache hits) and simulated
+    latency here, alongside their per-target stats, so the CLI summary
+    and the bench harness see boot-to-mount I/O cost in the same place
+    as verification cost.
     """
 
     def __init__(self):

@@ -11,16 +11,6 @@ and closed-loop end-user traffic on the :mod:`repro.sim` event kernel.
 """
 
 from repro.fleet.drain import RollingRolloutReport, drain_backend, rolling_rollout
-from repro.fleet.faults import (
-    FaultHandle,
-    KdsBlackhole,
-    blackhole_kds,
-    corrupt_disk,
-    kill_backend,
-    raise_tcb_floor,
-    revoke_family,
-    slow_disk,
-)
 from repro.fleet.gateway import (
     GATEWAY_REASON_CODES,
     AdmissionVerdict,
@@ -48,7 +38,6 @@ __all__ = [
     "Backend",
     "BackendState",
     "ConsistentHashRing",
-    "FaultHandle",
     "FleetGateway",
     "FleetProvisioner",
     "FleetWorkload",
@@ -57,18 +46,11 @@ __all__ = [
     "GossipedVerdict",
     "HealthMonitor",
     "HeterogeneousFleet",
-    "KdsBlackhole",
     "LiteFleet",
     "MeshWorkload",
     "ProvisionReport",
     "RollingRolloutReport",
     "UserPool",
-    "blackhole_kds",
-    "corrupt_disk",
     "drain_backend",
-    "kill_backend",
-    "raise_tcb_floor",
-    "revoke_family",
     "rolling_rollout",
-    "slow_disk",
 ]

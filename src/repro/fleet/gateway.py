@@ -177,7 +177,6 @@ class FleetGateway:
             raise ValueError(f"unknown balancer {balancer!r}; pick from {BALANCERS}")
         self.network = network
         self.domain = domain
-        self.kds = kds
         self.trust_anchors = list(trust_anchors)
         #: family -> golden measurements (sorted); a family without an
         #: entry is checked against an empty set and fails closed.

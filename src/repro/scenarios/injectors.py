@@ -1,9 +1,10 @@
 """The injector registry: every campaign attack behind one protocol.
 
-An :class:`Injection` adapts one of the repo's scattered fault hooks
-(:mod:`repro.fleet.faults`, hypervisor tamper helpers, storage fault
-targets, KDS blackholing, rogue evidence serving) to a uniform,
-revertible lifecycle the :class:`~repro.scenarios.runner.CampaignRunner`
+An :class:`Injection` is the one fault layer: it arms a fault on a
+component's public surface (a host detached from the network, a KDS
+double on the gateway verifier, a TCB floor, a revoked family, a bit
+flipped on the raw disk, a rogue serving evidence) and undoes it, in a
+uniform lifecycle the :class:`~repro.scenarios.runner.CampaignRunner`
 drives mid-storm:
 
 ``inject()``
@@ -18,8 +19,9 @@ drives mid-storm:
     code was reached; the benign twin must return ``True`` with zero
     hits on that code.
 ``revert()``
-    Undo the injection (symmetric: hosts re-attach, clients swap back,
-    XOR masks re-apply, routes restore, rogues vanish).
+    Undo the injection once (symmetric: hosts re-attach, clients swap
+    back, floors and revocations restore, XOR masks re-apply, routes
+    restore, rogues vanish).
 ``recovered() -> bool``
     Post-revert health check: pre-attack admission behaviour is back
     (an evicted victim re-registers and re-attests clean, a corrupted
@@ -32,8 +34,12 @@ counters.
 
 Injectors are registered by name (``@register("...")``); scenario specs
 reference them by that name, so campaigns stay declarative and the
-registry is the single seam tests are allowed to construct faults
-through (CI greps for raw hook use outside it).
+registry is the single seam tests construct attacks through (the
+``fault-layer`` gate in ``tests/test_seam_gates.py`` guards it).
+
+The module also holds the two KDS client doubles: :class:`KdsBlackhole`
+(the WAN path to AMD is down) and :class:`SubstituteKds` (a MITM serving
+a substituted VCEK).
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from ..amd.policy import GuestPolicy
 from ..amd.tcb import TcbVersion
 from ..attest import (
     AMD_FAMILIES,
-    AttestationVerifier,
     Evidence,
     TeeFamily,
     cca_evidence,
@@ -57,10 +62,11 @@ from ..cca.realms import CcaToken
 from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
 from ..crypto import ec, encoding, sigcache
 from ..crypto.x509 import Name
-from ..fleet import faults
 from ..fleet.gateway import GatewayError
 from ..fleet.mesh import GossipedVerdict
 from ..net.http import HTTPS_PORT
+from ..net.simnet import NetworkError
+from ..storage.partition import PartitionTable
 from ..virt.firmware import build_firmware
 from ..virt.hypervisor import LaunchAttack
 from ..virt.image import KernelBlob
@@ -147,21 +153,25 @@ class Injection:
 
 @register("backend_kill")
 class BackendKill(Injection):
-    """The victim's host vanishes mid-storm (hypervisor kill).  Benign
-    twin (``probe_only``): the same probe against a live backend."""
+    """The victim's host vanishes mid-storm (hypervisor kill): it leaves
+    the network with its listeners intact, and revert re-attaches it.
+    Benign twin (``probe_only``): the same probe against a live
+    backend."""
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
-        self._handle = None
+        self._host = None
         if not self.params.get("probe_only"):
-            self._handle = faults.kill_backend(self.world.gateway, self._ip)
+            network = self.world.network
+            self._host = network.host_at(self._ip)
+            network.remove_host(self._ip)
 
     def provoke(self) -> bool:
         return self._attest(self._ip).ok
 
     def revert(self) -> None:
-        if self._handle is not None:
-            self._handle.revert()
+        if self._host is not None:
+            self.world.network.attach_host(self._host)
 
     def recovered(self) -> bool:
         return self._readmit(self._ip)
@@ -205,41 +215,74 @@ class SlowBackend(Injection):
 # Storm arena: KDS layer
 # ======================================================================
 
-@register("kds_blackhole")
-class KdsBlackholeInjection(Injection):
-    """AMD's KDS goes dark.  Cold cache (``clear_cache``): freshness is
-    unconfirmable, the gateway fails closed with ``kds_unreachable``.
-    Benign twin: warm cache rides out the outage."""
+class KdsBlackhole:
+    """A :class:`~repro.core.kds_client.KdsClient` double for a dark WAN
+    path to AMD: only the wrapped client's cache answers (the point of
+    the VCEK cache).  It never fetches and never joins an in-flight
+    fetch.  The client's clock and counters show through, so the
+    verifier still prices every step."""
 
-    def inject(self) -> None:
-        self._ip = self._victim_ip()
-        self._hole = faults.blackhole_kds(
-            self.world.gateway,
-            clear_cache=bool(self.params.get("clear_cache", True)),
-        )
+    def __init__(self, inner):
+        self.inner = inner
 
-    def provoke(self) -> bool:
-        return self._attest(self._ip).ok
+    @property
+    def clock(self):
+        return self.inner.clock
 
-    def revert(self) -> None:
-        self._hole.revert()
+    @property
+    def latency(self):
+        return self.inner.latency
 
-    def recovered(self) -> bool:
-        return self._readmit(self._ip)
+    @property
+    def fetches(self):
+        return self.inner.fetches
 
+    @property
+    def cache_hits(self):
+        return self.inner.cache_hits
 
-class _ReplayKds:
-    """A KDS client replaying stale-TCB endorsements (or passing
-    through, for the benign twin)."""
+    @property
+    def coalesced_hits(self):
+        return self.inner.coalesced_hits
 
-    def __init__(self, inner, stale_tcb: Optional[TcbVersion]):
-        self._inner = inner
-        self._stale_tcb = stale_tcb
+    @property
+    def trust_anchor(self):
+        return self.inner.trust_anchor
 
     def get_vcek(self, chip_id, tcb):
-        if self._stale_tcb is not None:
-            tcb = self._stale_tcb
-        return self._inner.get_vcek(chip_id, tcb)
+        key = (bytes(chip_id), tcb)
+        if self.inner.cache_enabled and key in self.inner._vcek_cache:
+            self.inner.cache_hits += 1
+            return self.inner._vcek_cache[key]
+        raise NetworkError("KDS black-holed (no route to kdsintf.amd.com)")
+
+    def cert_chain(self):
+        if self.inner.cache_enabled and self.inner._chain_cache is not None:
+            self.inner.cache_hits += 1
+            return self.inner._chain_cache
+        if self.inner._bundled_chain is not None:
+            return self.inner._bundled_chain
+        raise NetworkError("KDS black-holed (no route to kdsintf.amd.com)")
+
+
+class SubstituteKds:
+    """A KDS client double for a MITM on the path to AMD: it serves
+    *vcek* for every request, or else the VCEK the wrapped client
+    returns for the fixed *tcb*; with neither it passes requests
+    through.  It shows none of the client's clock or counters, so the
+    verifier charges no sim time for the steps it feeds."""
+
+    def __init__(self, inner, vcek=None, tcb: Optional[TcbVersion] = None):
+        self._inner = inner
+        self._vcek = vcek
+        self._tcb = tcb
+
+    def get_vcek(self, chip_id, tcb):
+        if self._vcek is not None:
+            return self._vcek
+        return self._inner.get_vcek(
+            chip_id, self._tcb if self._tcb is not None else tcb
+        )
 
     def cert_chain(self):
         return self._inner.cert_chain()
@@ -249,38 +292,55 @@ class _ReplayKds:
         return self._inner.trust_anchor
 
 
-@register("stale_chain_replay")
-class StaleChainReplay(Injection):
-    """A MITM replays a VCEK for an older TCB than the chip reports
-    (stale-chain replay); the TCB-binding check must fail with
-    ``tcb_mismatch``.  Benign twin: the same interposer passing the
-    requested TCB through verifies clean."""
+class _KdsInterposer(Injection):
+    """Shared plumbing for the KDS-path injectors: a double wraps the
+    gateway verifier's KDS client in place (its trust contexts, farm and
+    site are untouched), the victim re-attests through it, and revert
+    puts the original client back."""
+
+    def _double(self, client):
+        raise NotImplementedError
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
-        gateway = self.world.gateway
-        self._kds, self._verifier = gateway.kds, gateway.verifier
-        stale = None
-        if self.params.get("stale", True):
-            stale = TcbVersion(*self.params.get("tcb", (0, 0, 0, 1)))
-        wrapper = _ReplayKds(gateway.kds, stale)
-        gateway.kds = wrapper
-        gateway.verifier = AttestationVerifier(
-            wrapper,
-            site=gateway.name,
-            contexts=self._verifier.contexts,
-            farm=gateway.farm,
-        )
+        verifier = self.world.gateway.verifier
+        self._client = verifier.kds
+        verifier.kds = self._double(self._client)
 
     def provoke(self) -> bool:
         return self._attest(self._ip).ok
 
     def revert(self) -> None:
-        gateway = self.world.gateway
-        gateway.kds, gateway.verifier = self._kds, self._verifier
+        self.world.gateway.verifier.kds = self._client
 
     def recovered(self) -> bool:
         return self._readmit(self._ip)
+
+
+@register("kds_blackhole")
+class KdsBlackholeInjection(_KdsInterposer):
+    """AMD's KDS goes dark.  Cold cache (``clear_cache``): freshness is
+    unconfirmable, the gateway fails closed with ``kds_unreachable``.
+    Benign twin: warm cache rides out the outage."""
+
+    def _double(self, client):
+        if self.params.get("clear_cache", True):
+            client.clear_cache()
+        return KdsBlackhole(client)
+
+
+@register("stale_chain_replay")
+class StaleChainReplay(_KdsInterposer):
+    """A MITM replays a VCEK for an older TCB than the chip reports
+    (stale-chain replay); the TCB-binding check must fail with
+    ``tcb_mismatch``.  Benign twin: the same interposer passing the
+    requested TCB through verifies clean."""
+
+    def _double(self, client):
+        stale = None
+        if self.params.get("stale", True):
+            stale = TcbVersion(*self.params.get("tcb", (0, 0, 0, 1)))
+        return SubstituteKds(client, tcb=stale)
 
 
 # ======================================================================
@@ -291,22 +351,36 @@ class StaleChainReplay(Injection):
 class TcbRollback(Injection):
     """The fleet floor is raised above what backends report (i.e. their
     firmware was rolled back); re-attestation fails ``tcb_too_old``.
-    The floor covers ``families`` (default: the AMD families).  Benign
-    twin: a floor the fleet already meets."""
+    The floor covers ``families`` (default: the AMD families); revert
+    restores exactly those families' previous floors.  Benign twin: a
+    floor the fleet already meets."""
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
-        self._handle = faults.raise_tcb_floor(
-            self.world.gateway,
-            TcbVersion(*self.params.get("floor", (255, 255, 255, 255))),
-            families=self.params.get("families", AMD_FAMILIES),
-        )
+        floors = self.world.gateway.tcb_floors
+        floor = TcbVersion(*self.params.get("floor", (255, 255, 255, 255)))
+        self._families = [
+            str(family)
+            for family in self.params.get("families", AMD_FAMILIES)
+        ]
+        self._previous = {
+            family: floors[family]
+            for family in self._families
+            if family in floors
+        }
+        for family in self._families:
+            floors[family] = floor
 
     def provoke(self) -> bool:
         return self._attest(self._ip).ok
 
     def revert(self) -> None:
-        self._handle.revert()
+        floors = self.world.gateway.tcb_floors
+        for family in self._families:
+            if family in self._previous:
+                floors[family] = self._previous[family]
+            else:
+                floors.pop(family, None)
 
     def recovered(self) -> bool:
         return self._readmit(self._ip)
@@ -315,14 +389,17 @@ class TcbRollback(Injection):
 @register("family_revocation")
 class FamilyRevocation(Injection):
     """One TEE family is revoked fleet-wide; its backends are evicted
-    at once and re-attest ``family_not_allowed``.  Benign twin: revoking
-    a family with no fleet presence is a no-op for everyone else."""
+    at once and re-attest ``family_not_allowed``.  Revert lifts the
+    revocation only if this injection made it.  Benign twin: revoking a
+    family with no fleet presence is a no-op for everyone else."""
 
     def inject(self) -> None:
+        gateway = self.world.gateway
         family = str(self.params.get("family", str(TeeFamily.TDX)))
         self._family = family
         self._family_ips = self.world.hetero_ips.get(family, [])
-        self._handle = faults.revoke_family(self.world.gateway, family)
+        self._revoked = family not in gateway.revoked_families
+        gateway.revoke_family(family)
 
     def provoke(self) -> bool:
         if self._family_ips:
@@ -331,7 +408,8 @@ class FamilyRevocation(Injection):
         return self._attest(self._victim_ip()).ok
 
     def revert(self) -> None:
-        self._handle.revert()
+        if self._revoked:
+            self.world.gateway.revoked_families.discard(self._family)
 
     def recovered(self) -> bool:
         ok = True
@@ -624,23 +702,32 @@ class GatewayAbuse(Injection):
 @register("storage_bitflip")
 class StorageBitflip(Injection):
     """The host flips bits on a running victim's raw disk inside the
-    rootfs extent; the next read through the verity stack must reject
-    (``corruption_rejections``).  Benign twin: the same read against an
+    rootfs extent, below every device-mapper layer; the next read
+    through the verity stack must reject (``corruption_rejections``).
+    Revert applies the same XOR again: caches above stay invalidated,
+    but reads verify again.  Benign twin: the same read against an
     untampered disk."""
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
         self._vm = self.world.node_for(self._ip).vm
         self._block = int(self.params.get("block", 2))
-        self._handle = None
+        self._offset = None
         if self.params.get("flip", True):
-            self._handle = faults.corrupt_disk(
-                self._vm,
-                self.params.get("partition", "rootfs"),
-                block_index=self._block,
-                byte_offset=int(self.params.get("byte_offset", 3)),
-                xor_mask=int(self.params.get("xor_mask", 0x40)),
+            disk = self._vm.disk
+            partition = self.params.get("partition", "rootfs")
+            entry = PartitionTable.read_from(disk).find(partition)
+            if not 0 <= self._block < entry.num_blocks:
+                raise ValueError(
+                    f"block {self._block} outside partition {partition!r} "
+                    f"({entry.num_blocks} blocks)"
+                )
+            self._offset = (
+                (entry.first_block + self._block) * disk.block_size
+                + int(self.params.get("byte_offset", 3))
             )
+            self._mask = int(self.params.get("xor_mask", 0x40))
+            disk.corrupt(self._offset, self._mask)
 
     def _read(self) -> bool:
         # The verity-covered rootfs volume registers under role
@@ -660,8 +747,8 @@ class StorageBitflip(Injection):
         return self._read()
 
     def revert(self) -> None:
-        if self._handle is not None:
-            self._handle.revert()
+        if self._offset is not None:
+            self._vm.disk.corrupt(self._offset, self._mask)
 
     def recovered(self) -> bool:
         return self._read() and self.world.gateway.backends[
@@ -771,7 +858,7 @@ class PipelineAttack(Injection):
                 world.other_chip.chip_id, report.reported_tcb
             )
             verifier = world.make_verifier(
-                kds=_SubstituteVcek(world.kds, wrong_vcek)
+                kds=SubstituteKds(world.kds, vcek=wrong_vcek)
             )
             evidence = snp_evidence(report)
         elif mode == "chip_id_not_allowed":
@@ -785,7 +872,7 @@ class PipelineAttack(Injection):
                 world.chip.chip_id, TcbVersion(0, 0, 0, 1)
             )
             verifier = world.make_verifier(
-                kds=_SubstituteVcek(world.kds, stale_vcek)
+                kds=SubstituteKds(world.kds, vcek=stale_vcek)
             )
             evidence = snp_evidence(report)
         elif mode == "tcb_too_old":
@@ -859,24 +946,6 @@ class PipelineAttack(Injection):
         else:
             raise KeyError(f"unknown pipeline mode {mode!r}")
         return evidence, policy, verifier
-
-
-class _SubstituteVcek:
-    """A KDS client serving a substituted VCEK (wrong chip or TCB)."""
-
-    def __init__(self, inner, vcek):
-        self._inner = inner
-        self._vcek = vcek
-
-    def get_vcek(self, chip_id, tcb):
-        return self._vcek
-
-    def cert_chain(self):
-        return self._inner.cert_chain()
-
-    @property
-    def trust_anchor(self):
-        return self._inner.trust_anchor
 
 
 # ======================================================================

@@ -8,7 +8,7 @@ Simulates the Linux storage stack a Revelio VM relies on:
 * :mod:`dm_verity` — verify-on-read integrity target (Merkle tree),
 * :mod:`dm_crypt` — AES-XTS-plain64 encryption with a LUKS-like header,
 * :mod:`dm` — declarative device-mapper tables stacking the targets
-  above (plus caches and fault injectors) into named volumes,
+  above (plus a block cache) into named volumes,
 * :mod:`filesystem` — a deterministic read-only filesystem image.
 """
 
@@ -25,12 +25,10 @@ from .dm import (
     ZERO_STORAGE_LATENCY,
     BlockCache,
     CachedVerityDevice,
-    DelayTarget,
     DmContext,
     DmError,
     DmTable,
     DmVolume,
-    FaultTarget,
     LinearTarget,
     StorageLatencyModel,
     StorageMeter,
@@ -73,13 +71,11 @@ __all__ = [
     "BlockDeviceError",
     "CachedVerityDevice",
     "CryptDevice",
-    "DelayTarget",
     "DmContext",
     "DmCryptError",
     "DmError",
     "DmTable",
     "DmVolume",
-    "FaultTarget",
     "LinearTarget",
     "FileEntry",
     "FileSystem",

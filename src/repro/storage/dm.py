@@ -27,8 +27,10 @@ Supported targets, bottom-up:
   hash-tree node is verified at most once per cache generation, and a
   bounded LRU of *verified* data blocks serves hot re-reads without
   re-walking the Merkle path.  Any verify failure drops the caches.
-* ``delay`` / ``fault`` — operational fault injectors (slow disk,
-  forced I/O errors, corrupt-on-read) for the deployment/fleet tests.
+
+Storage attacks are not a table kind: they flip bits on the raw disk
+below every target (``BlockDevice.corrupt``), where a hostile host
+would, and each layer above notices through ``mutation_count``.
 
 Every target keeps per-target I/O counters (:class:`TargetStats`) and
 reports aggregates + simulated latency to the ``repro.attest`` trace
@@ -126,15 +128,6 @@ class StorageMeter:
         if self.clock is not None:
             self.clock.advance(cost)
         get_tracer().storage.charge(cost)
-
-    def charge_seconds(self, seconds: float) -> None:
-        """Charge an explicit latency (delay targets)."""
-        if not seconds:
-            return
-        self.sim_seconds += seconds
-        if self.clock is not None:
-            self.clock.advance(seconds)
-        get_tracer().storage.charge(seconds)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Mirror a per-target counter into the global registry."""
@@ -482,104 +475,6 @@ class BlockCache(_TargetDevice):
         return list(self._blocks)
 
 
-class DelayTarget(_TargetDevice):
-    """A slow disk: adds per-block read/write latency on the sim clock."""
-
-    kind = "delay"
-
-    def __init__(self, backing: BlockDevice, meter: StorageMeter,
-                 read_delay: float = 0.0, write_delay: float = 0.0):
-        if read_delay < 0 or write_delay < 0:
-            raise DmError("delays cannot be negative", reason="bad_param")
-        super().__init__(backing, meter)
-        self.read_delay = read_delay
-        self.write_delay = write_delay
-
-    def read_block(self, index: int) -> bytes:
-        self._note("delayed_reads")
-        self._meter.charge_seconds(self.read_delay)
-        return self._backing.read_block(index)
-
-    def write_block(self, index: int, data: bytes) -> None:
-        self._note("delayed_writes")
-        self._meter.charge_seconds(self.write_delay)
-        self._backing.write_block(index, data)
-
-    def read_blocks(self, first: int, count: int) -> bytes:
-        self._note("delayed_reads", count)
-        self._meter.charge_seconds(self.read_delay * count)
-        return self._backing.read_blocks(first, count)
-
-    def write_blocks(self, first: int, data: bytes) -> None:
-        count = len(data) // self.block_size
-        self._note("delayed_writes", count)
-        self._meter.charge_seconds(self.write_delay * count)
-        self._backing.write_blocks(first, data)
-
-
-class FaultTarget(_TargetDevice):
-    """Deterministic fault injection: forced I/O errors and
-    corrupt-on-read bit flips, armed per block at runtime."""
-
-    kind = "fault"
-
-    def __init__(self, backing: BlockDevice, meter: StorageMeter,
-                 xor_mask: int = 0x01):
-        super().__init__(backing, meter)
-        self.xor_mask = xor_mask
-        self._fail_blocks: set = set()
-        self._flip_blocks: set = set()
-        self._own_mutations = 0
-
-    @property
-    def mutation_count(self) -> int:
-        # Arming a fault changes what reads observe: a mutation.
-        return self._backing.mutation_count + self._own_mutations
-
-    def fail_block(self, index: int) -> None:
-        """Arm a forced I/O error for *index*."""
-        self._fail_blocks.add(index)
-        self._own_mutations += 1
-
-    def corrupt_block(self, index: int) -> None:
-        """Arm a corrupt-on-read bit flip for *index*."""
-        self._flip_blocks.add(index)
-        self._own_mutations += 1
-
-    def heal(self) -> None:
-        """Disarm every fault."""
-        self._fail_blocks.clear()
-        self._flip_blocks.clear()
-        self._own_mutations += 1
-
-    def disarm_block(self, index: int) -> None:
-        """Disarm the faults on one block only — the symmetric revert
-        of a single ``fail_block``/``corrupt_block`` injection, leaving
-        any other armed faults in place (campaigns revert each attack
-        individually mid-run)."""
-        self._fail_blocks.discard(index)
-        self._flip_blocks.discard(index)
-        self._own_mutations += 1
-
-    def read_block(self, index: int) -> bytes:
-        if index in self._fail_blocks:
-            self._note("errors_injected")
-            raise BlockDeviceError(f"injected I/O error reading block {index}")
-        data = self._backing.read_block(index)
-        if index in self._flip_blocks:
-            self._note("corruptions_served")
-            mutated = bytearray(data)
-            mutated[0] ^= self.xor_mask
-            return bytes(mutated)
-        return data
-
-    def write_block(self, index: int, data: bytes) -> None:
-        if index in self._fail_blocks:
-            self._note("errors_injected")
-            raise BlockDeviceError(f"injected I/O error writing block {index}")
-        self._backing.write_block(index, data)
-
-
 class CachedVerityDevice(VerityDevice):
     """dm-verity with hash-path memoisation and a verified-page LRU.
 
@@ -766,18 +661,6 @@ def _int_param(spec: TargetSpec, key: str, default: int) -> int:
         ) from None
 
 
-def _float_param(spec: TargetSpec, key: str, default: float) -> float:
-    raw = spec.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise DmError(
-            f"parameter {key}={raw!r} is not a number", reason="bad_param"
-        ) from None
-
-
 def _build_linear(spec: TargetSpec, context: DmContext,
                   below: Optional[BlockDevice], meter: StorageMeter) -> BlockDevice:
     partition = spec.get("partition")
@@ -864,31 +747,11 @@ def _build_crypt(spec: TargetSpec, context: DmContext,
     return CryptTarget(crypt, meter)
 
 
-def _build_delay(spec: TargetSpec, context: DmContext,
-                 below: Optional[BlockDevice], meter: StorageMeter) -> BlockDevice:
-    backing = _require_base(spec, below)
-    return DelayTarget(
-        backing,
-        meter,
-        read_delay=_float_param(spec, "read_ms", 0.0) / 1000.0,
-        write_delay=_float_param(spec, "write_ms", 0.0) / 1000.0,
-    )
-
-
-def _build_fault(spec: TargetSpec, context: DmContext,
-                 below: Optional[BlockDevice], meter: StorageMeter) -> BlockDevice:
-    backing = _require_base(spec, below)
-    return FaultTarget(backing, meter,
-                       xor_mask=_int_param(spec, "mask", 0x01))
-
-
 _TARGET_BUILDERS = {
     "linear": _build_linear,
     "cache": _build_cache,
     "verity": _build_verity,
     "crypt": _build_crypt,
-    "delay": _build_delay,
-    "fault": _build_fault,
 }
 
 
@@ -984,15 +847,6 @@ class VolumeRegistry:
         if role in self._volumes:
             raise VolumeError(
                 f"role {role!r} already has a volume", reason="duplicate_role"
-            )
-        self._volumes[role] = volume
-        return volume
-
-    def replace(self, role: str, volume: BlockDevice) -> BlockDevice:
-        """Swap the volume under an *existing* role (fault injection)."""
-        if role not in self._volumes:
-            raise VolumeError(
-                f"no volume registered for role {role!r}", reason="missing_role"
             )
         self._volumes[role] = volume
         return volume

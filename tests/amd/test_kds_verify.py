@@ -20,7 +20,7 @@ from repro.core.kds_client import KdsClient
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.x509 import validate_chain
 from repro.net.latency import ZERO_LATENCY, SimClock
-from tests.attest.test_failure_matrix import SubstituteVcekKds
+from repro.scenarios.injectors import SubstituteKds
 
 NOW = 1_000_000
 
@@ -159,7 +159,7 @@ class TestVerifyFailures:
         report = guest.get_report(b"\x00" * 64)
         wrong_vcek = kds.get_vcek_certificate(other_chip.chip_id, report.reported_tcb)
         with pytest.raises(AttestationError) as excinfo:
-            _verify(report, SubstituteVcekKds(_client(kds), wrong_vcek))
+            _verify(report, SubstituteKds(_client(kds), vcek=wrong_vcek))
         assert excinfo.value.reason == "chip_id_mismatch"
 
     def test_forged_root_rejected(self, kds, chip, guest):

@@ -24,39 +24,10 @@ from repro.attest import (
 from repro.core.kds_client import KdsClient
 from repro.crypto.drbg import HmacDrbg
 from repro.net.latency import ZERO_LATENCY, SimClock
+from repro.scenarios.injectors import SubstituteKds
 
 NOW = 1_000_000
 REPORT_DATA = b"\x42" * 64
-
-
-class SubstituteVcekKds:
-    """A KDS client that serves a substituted VCEK (fault injection)."""
-
-    def __init__(self, inner, vcek):
-        self._inner = inner
-        self._vcek = vcek
-
-    def get_vcek(self, chip_id, tcb):
-        return self._vcek
-
-    def cert_chain(self):
-        return self._inner.cert_chain()
-
-    @property
-    def trust_anchor(self):
-        return self._inner.trust_anchor
-
-    @property
-    def clock(self):
-        return self._inner.clock
-
-    @property
-    def fetches(self):
-        return self._inner.fetches
-
-    @property
-    def cache_hits(self):
-        return self._inner.cache_hits
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +87,7 @@ def inject_chip_id_mismatch(world):
     wrong_vcek = world["kds_server"].get_vcek_certificate(
         world["other_chip"].chip_id, report.reported_tcb
     )
-    return SubstituteVcekKds(world["client"], wrong_vcek), report, base_policy(world)
+    return SubstituteKds(world["client"], vcek=wrong_vcek), report, base_policy(world)
 
 
 def inject_tcb_mismatch(world):
@@ -124,7 +95,7 @@ def inject_tcb_mismatch(world):
     wrong_vcek = world["kds_server"].get_vcek_certificate(
         world["chip"].chip_id, TcbVersion(9, 9, 9, 200)
     )
-    return SubstituteVcekKds(world["client"], wrong_vcek), report, base_policy(world)
+    return SubstituteKds(world["client"], vcek=wrong_vcek), report, base_policy(world)
 
 
 def inject_bad_signature(world):

@@ -81,6 +81,22 @@ class TestDemos:
         assert "3/3 attacks detected" in capsys.readouterr().out
 
 
+class TestScenarios:
+    def test_list_names_every_campaign(self, capsys):
+        assert main(["scenarios", "--list"]) == 0
+        output = capsys.readouterr().out
+        for name in ("launch-61", "pipeline-tail", "storm-core"):
+            assert name in output
+
+    def test_pipeline_campaign_runs_clean(self, capsys):
+        assert main(["scenarios", "pipeline-tail"]) == 0
+        assert "campaign OK" in capsys.readouterr().out
+
+    def test_unknown_campaign_rejected(self, capsys):
+        assert main(["scenarios", "no-such-campaign"]) == 2
+        assert "unknown campaign" in capsys.readouterr().out
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

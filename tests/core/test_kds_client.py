@@ -196,8 +196,8 @@ class TestRequestCoalescing:
     def test_blackholed_kds_never_joins_inflight(self, setup):
         """Fail closed: while the WAN path is down only the local cache
         may answer — an in-flight response must not be joined."""
-        from repro.fleet.faults import KdsBlackhole
         from repro.net.simnet import NetworkError
+        from repro.scenarios.injectors import KdsBlackhole
 
         _, kds, chip, clock, model = setup
         client = KdsClient(kds, clock, model, cache_enabled=False)
@@ -208,7 +208,7 @@ class TestRequestCoalescing:
             with pytest.raises(NetworkError):
                 blackhole.get_vcek(chip.chip_id, chip.current_tcb)
         assert client.coalesced_hits == 0
-        blackhole.active = False
+        # Route restored: the real client joins the in-flight fetch.
         with clock.isolated():
-            blackhole.get_vcek(chip.chip_id, chip.current_tcb)
+            client.get_vcek(chip.chip_id, chip.current_tcb)
         assert client.coalesced_hits == 1

@@ -6,7 +6,8 @@ import pytest
 from repro.attest import VerifyFarm, get_tracer, reset_tracer
 from repro.core import RevelioDeployment
 from repro.crypto import sigcache
-from repro.fleet import FleetGateway, GatewayMesh, HealthMonitor, blackhole_kds
+from repro.fleet import FleetGateway, GatewayMesh, HealthMonitor
+from repro.scenarios.injectors import KdsBlackhole
 from repro.sim import EventKernel, SimRng
 from repro.sim.kernel import run_until_complete, sleep
 
@@ -126,7 +127,9 @@ class TestBatchedReattestation:
         _, gateway, kernel, _ = make_farm_world(fleet_build, with_kernel=True)
         assert all(v.ok for v in gateway.admit_all())
         monitor = HealthMonitor(gateway, interval=5.0, reattest_every=0.0)
-        blackhole = blackhole_kds(gateway, clear_cache=True)
+        client = gateway.verifier.kds
+        client.clear_cache()
+        gateway.verifier.kds = KdsBlackhole(client)
         assert gateway.verifier.farm is not None  # farm survives the swap
 
         def driver():
@@ -140,7 +143,7 @@ class TestBatchedReattestation:
         assert {
             b.verdict_reason for b in gateway.backends.values()
         } == {"kds_unreachable"}
-        blackhole.active = False
+        gateway.verifier.kds = client
 
 
 class TestMeshSharedFarm:

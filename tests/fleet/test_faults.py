@@ -1,23 +1,35 @@
-"""Fault injection: dead backends, a black-holed KDS, a raised TCB
-floor, a revoked TEE family — each surfacing its stable reason code
-and zero end-user damage."""
+"""Gateway reactions to faults: dead backends, a black-holed KDS, a
+raised TCB floor, a revoked TEE family — each armed on the component
+itself, each surfacing its stable reason code and zero end-user damage.
+The registered injectors' revert symmetry is tested through the
+registry, in ``tests/scenarios/test_revert_symmetry.py``."""
 
 
 import pytest
 
 from repro.amd.tcb import TcbVersion
+from repro.attest import AMD_FAMILIES
 from repro.core.deployment import MINIMAL_PAGE
-from repro.fleet import (
-    HeterogeneousFleet,
-    blackhole_kds,
-    corrupt_disk,
-    kill_backend,
-    raise_tcb_floor,
-    revoke_family,
-    slow_disk,
-)
+from repro.fleet import HeterogeneousFleet
+from repro.scenarios.injectors import KdsBlackhole
 from repro.storage.dm import VerityError
 from repro.storage.partition import PartitionTable
+
+
+def blackhole(gateway, clear_cache=False):
+    """Put a black-holed KDS double on the gateway's verifier; returns
+    the real client, for the test to put back."""
+    client = gateway.verifier.kds
+    if clear_cache:
+        client.clear_cache()
+    gateway.verifier.kds = KdsBlackhole(client)
+    return client
+
+
+def raise_amd_floor(gateway, floor):
+    """Mandate *floor* for both AMD families (SEV-SNP and the e-vTPM)."""
+    for family in AMD_FAMILIES:
+        gateway.tcb_floors[str(family)] = floor
 
 
 def navigate_ok(browser, domain):
@@ -34,7 +46,7 @@ class TestBackendDeath:
         navigate_ok(browser, deployment.domain)
         (victim_ip,) = set(gateway._affinity.values())
 
-        kill_backend(gateway, victim_ip)
+        gateway.network.remove_host(victim_ip)
 
         # The revisit's record forward dies on the wire; the gateway
         # evicts with the stable code and the client's automatic
@@ -48,7 +60,7 @@ class TestBackendDeath:
     def test_new_sessions_retry_past_a_dead_backend(self, sync_world):
         deployment, gateway, _ = sync_world
         dead_ip = sorted(gateway.backends)[0]
-        kill_backend(gateway, dead_ip)
+        gateway.network.remove_host(dead_ip)
         # Three fresh sessions: round-robin guarantees the dead backend
         # is attempted, evicted, and silently retried on a live one.
         for index in range(3):
@@ -63,7 +75,7 @@ class TestBackendDeath:
     def test_whole_fleet_dead_is_a_stable_routing_failure(self, sync_world):
         deployment, gateway, _ = sync_world
         for ip in sorted(gateway.backends):
-            kill_backend(gateway, ip)
+            gateway.network.remove_host(ip)
         browser, _ = deployment.make_user(name="left-out", ip_address="10.2.7.20")
         result = browser.navigate(f"https://{deployment.domain}/")
         assert result.blocked
@@ -76,16 +88,15 @@ class TestKdsBlackhole:
         """The PR-3 story: cached VCEKs keep re-attestation working
         while AMD's KDS is unreachable."""
         _, gateway, _ = sync_world
-        hole = blackhole_kds(gateway)  # cache intact
+        blackhole(gateway)  # cache intact
         for ip in sorted(gateway.backends):
             verdict = gateway.attest_and_admit(ip)
             assert verdict.ok, verdict.reason
         assert all(b.state == "admitted" for b in gateway.backends.values())
-        hole.active = False
 
     def test_cold_cache_blackhole_evicts_with_kds_unreachable(self, sync_world):
         _, gateway, _ = sync_world
-        hole = blackhole_kds(gateway, clear_cache=True)
+        client = blackhole(gateway, clear_cache=True)
         ip = sorted(gateway.backends)[0]
         verdict = gateway.attest_and_admit(ip)
         assert not verdict.ok
@@ -94,33 +105,32 @@ class TestKdsBlackhole:
         assert gateway.counters["evictions.kds_unreachable"] == 1
 
         # Service restored: a replacement registration re-admits.
-        hole.active = False
+        gateway.verifier.kds = client
         gateway.add_backend(ip)
         assert gateway.attest_and_admit(ip).ok
         assert gateway.backends[ip].state == "admitted"
 
     def test_blackhole_spares_non_snp_families(self, sync_world):
         """An AMD KDS outage must not take down TDX/CCA re-attestation:
-        their trust material survives the verifier swap."""
+        their trust material survives the KDS client swap."""
         deployment, gateway, _ = sync_world
         fleet = HeterogeneousFleet(deployment)
         fleet.add_backend("10.1.0.10", "tdx")
         fleet.add_backend("10.1.0.40", "arm-cca")
         assert all(v.ok for v in fleet.attach_gateway(gateway))
 
-        hole = blackhole_kds(gateway, clear_cache=True)
+        blackhole(gateway, clear_cache=True)
         assert gateway.attest_and_admit("10.1.0.10").ok
         assert gateway.attest_and_admit("10.1.0.40").ok
         snp_ip = sorted(gateway.backends)[0]
         assert gateway.attest_and_admit(snp_ip).reason == "kds_unreachable"
-        hole.active = False
 
 
 class TestTcbFloor:
     def test_raised_floor_evicts_with_tcb_too_old(self, sync_world):
         _, gateway, _ = sync_world
         # Fleet chips report TCB 3.0.8.115; mandate a newer bootloader.
-        raise_tcb_floor(gateway, TcbVersion(4, 0, 8, 115))
+        raise_amd_floor(gateway, TcbVersion(4, 0, 8, 115))
         ip = sorted(gateway.backends)[0]
         verdict = gateway.attest_and_admit(ip)
         assert not verdict.ok
@@ -130,7 +140,7 @@ class TestTcbFloor:
 
     def test_met_floor_keeps_the_backend_admitted(self, sync_world):
         _, gateway, _ = sync_world
-        raise_tcb_floor(gateway, TcbVersion(3, 0, 8, 115))
+        raise_amd_floor(gateway, TcbVersion(3, 0, 8, 115))
         ip = sorted(gateway.backends)[0]
         assert gateway.attest_and_admit(ip).ok
         assert gateway.backends[ip].state == "admitted"
@@ -151,7 +161,7 @@ class TestFamilyFaults:
         deployment, gateway, _ = sync_world
         self._hetero(deployment, gateway)
 
-        revoke_family(gateway, "tdx")
+        gateway.revoke_family("tdx")
 
         tdx = gateway.backends["10.1.0.10"]
         assert tdx.state == "evicted"
@@ -174,7 +184,7 @@ class TestFamilyFaults:
         self._hetero(deployment, gateway)
 
         # Fleet TDX platforms report TCB SVN 3; mandate newer firmware.
-        raise_tcb_floor(gateway, 4, families=("tdx",))
+        gateway.tcb_floors["tdx"] = 4
 
         verdict = gateway.attest_and_admit("10.1.0.10")
         assert not verdict.ok
@@ -192,7 +202,7 @@ class TestFamilyFaults:
         assert all(v.ok for v in fleet.attach_gateway(gateway))
 
         # An AMD floor covers the e-vTPM's SNP endorsement, not TDX/CCA.
-        raise_tcb_floor(gateway, TcbVersion(4, 0, 8, 115))
+        raise_amd_floor(gateway, TcbVersion(4, 0, 8, 115))
 
         verdict = gateway.attest_and_admit("10.1.0.70")
         assert verdict.reason == "tcb_too_old"
@@ -204,103 +214,8 @@ class TestFamilyFaults:
 
 
 class TestSymmetricRevert:
-    """Every injector's ``revert()`` restores pre-attack admission
-    behaviour: after the undo, a re-registration + re-attestation (the
-    same path a recovered machine takes) admits the backend again, and
-    storage reads verify again."""
-
-    def test_kill_backend_revert_restores_admission(self, sync_world):
-        _, gateway, _ = sync_world
-        ip = sorted(gateway.backends)[0]
-        handle = kill_backend(gateway, ip)
-        assert not gateway.attest_and_admit(ip).ok
-        assert gateway.backends[ip].state == "evicted"
-
-        handle.revert()
-        gateway.add_backend(ip)
-        assert gateway.attest_and_admit(ip).ok
-        assert gateway.backends[ip].state == "admitted"
-        handle.revert()  # idempotent
-        assert gateway.attest_and_admit(ip).ok
-
-    def test_blackhole_revert_swaps_client_and_verifier_back(self, sync_world):
-        _, gateway, _ = sync_world
-        original_kds, original_verifier = gateway.kds, gateway.verifier
-        hole = blackhole_kds(gateway, clear_cache=True)
-        ip = sorted(gateway.backends)[0]
-        assert gateway.attest_and_admit(ip).reason == "kds_unreachable"
-
-        hole.revert()
-        assert gateway.kds is original_kds
-        assert gateway.verifier is original_verifier
-        gateway.add_backend(ip)
-        assert gateway.attest_and_admit(ip).ok
-
-    def test_tcb_floor_revert_restores_previous_floor(self, sync_world):
-        _, gateway, _ = sync_world
-        gateway.tcb_floors["sev-snp"] = TcbVersion(1, 0, 0, 0)
-        previous = dict(gateway.tcb_floors)
-        handle = raise_tcb_floor(gateway, TcbVersion(255, 255, 255, 255))
-        ip = sorted(gateway.backends)[0]
-        assert gateway.attest_and_admit(ip).reason == "tcb_too_old"
-
-        handle.revert()
-        assert gateway.tcb_floors == previous
-        gateway.add_backend(ip)
-        assert gateway.attest_and_admit(ip).ok
-
-    def test_family_floor_revert_removes_the_floor(self, sync_world):
-        deployment, gateway, _ = sync_world
-        fleet = HeterogeneousFleet(deployment)
-        fleet.add_backend("10.1.0.10", "tdx")
-        assert all(v.ok for v in fleet.attach_gateway(gateway))
-        handle = raise_tcb_floor(gateway, 4, families=("tdx",))
-        assert gateway.attest_and_admit("10.1.0.10").reason == "tcb_too_old"
-
-        handle.revert()
-        assert "tdx" not in gateway.tcb_floors
-        gateway.add_backend("10.1.0.10", family="tdx")
-        assert gateway.attest_and_admit("10.1.0.10").ok
-
-    def test_revoke_family_revert_lifts_the_revocation(self, sync_world):
-        deployment, gateway, _ = sync_world
-        fleet = HeterogeneousFleet(deployment)
-        fleet.add_backend("10.1.0.10", "tdx")
-        assert all(v.ok for v in fleet.attach_gateway(gateway))
-        handle = revoke_family(gateway, "tdx")
-        assert gateway.backends["10.1.0.10"].state == "evicted"
-        assert not gateway.attest_and_admit("10.1.0.10").ok
-
-        handle.revert()
-        assert "tdx" not in gateway.revoked_families
-        gateway.add_backend("10.1.0.10", family="tdx")
-        assert gateway.attest_and_admit("10.1.0.10").ok
-
-    def test_corrupt_disk_revert_restores_reads(self, sync_world):
-        deployment, _, _ = sync_world
-        vm = deployment.nodes[0].vm
-        volume = vm.storage.open("verity")
-        volume.read_block(2)  # clean
-        handle = corrupt_disk(
-            vm, "rootfs", block_index=2, byte_offset=3, xor_mask=0x40
-        )
-        with pytest.raises(VerityError):
-            volume.read_block(2)
-
-        handle.revert()
-        volume.read_block(2)  # verifies again
-        handle.revert()  # idempotent: no double re-XOR
-        volume.read_block(2)
-
-    def test_slow_disk_revert_unsplices_the_delay(self, sync_world):
-        deployment, _, _ = sync_world
-        vm = deployment.nodes[0].vm
-        original = vm.storage.open("verity")
-        handle = slow_disk(vm, "verity", read_ms=5.0)
-        assert vm.storage.open("verity") is handle.target
-
-        handle.revert()
-        assert vm.storage.open("verity") is original
+    """A hypervisor hook's undo restores reads (the registered
+    injectors' revert symmetry is tested through the registry)."""
 
     def test_runtime_tamper_undo_restores_reads(self, sync_world):
         deployment, _, _ = sync_world

@@ -1,6 +1,7 @@
 """The health monitor: liveness probes, thresholds, re-attestation."""
 
-from repro.fleet import HealthMonitor, blackhole_kds, kill_backend
+from repro.fleet import HealthMonitor
+from repro.scenarios.injectors import KdsBlackhole
 from repro.sim.kernel import run_until_complete, sleep
 
 
@@ -28,7 +29,7 @@ class TestProbes:
             gateway, interval=5.0, failure_threshold=2, reattest_every=1e9
         )
         dead_ip = sorted(gateway.backends)[0]
-        kill_backend(gateway, dead_ip)
+        gateway.network.remove_host(dead_ip)
 
         run_probe_rounds(kernel, monitor, 1)
         assert gateway.backends[dead_ip].state == "admitted"  # one strike
@@ -77,7 +78,8 @@ class TestReattestation:
         backend stops serving — kds_unreachable, via the health loop."""
         _, gateway, kernel = event_world
         monitor = HealthMonitor(gateway, interval=5.0, reattest_every=0.0)
-        blackhole_kds(gateway, clear_cache=True)
+        gateway.verifier.kds.clear_cache()
+        gateway.verifier.kds = KdsBlackhole(gateway.verifier.kds)
         run_probe_rounds(kernel, monitor, 1)
         assert all(b.state == "evicted" for b in gateway.backends.values())
         assert gateway.counters["evictions.kds_unreachable"] == 3

@@ -228,6 +228,38 @@ class TestVerdictGossip:
             assert not gateway.backends[ip_address].active()
 
 
+class TestMeshFamilyRevocation:
+    def test_revocation_reaches_every_gateway(self, fleet_build):
+        """DESIGN.md invariant 13, mesh-wide: one revocation evicts the
+        family on every shard, and each shard refuses its re-attestation
+        and passing gossip for it."""
+        deployment, mesh = make_sync_mesh(fleet_build)
+        snp_ips = [deployed.host.ip_address for deployed in deployment.nodes]
+
+        mesh.revoke_family("sev-snp")
+
+        assert sorted(mesh.gateways) == ["gateway-east", "gateway-west"]
+        for gateway in mesh.gateways.values():
+            assert all(
+                gateway.backends[ip].state == "evicted" for ip in snp_ips
+            )
+            assert gateway.counters["evictions.family_not_allowed"] == len(
+                snp_ips
+            )
+        for gateway in mesh.gateways.values():
+            ip_address = snp_ips[0]
+            gateway.add_backend(ip_address)
+            verdict = gateway.attest_and_admit(ip_address)
+            assert verdict.reason == "family_not_allowed"
+
+            deployment.network.clock.advance(1.0)
+            record = GossipedVerdict(
+                snp_ips[1], "sev-snp", True, "", deployment.network.clock.now
+            )
+            assert not gateway.accept_gossip(record, mesh.max_staleness)
+            assert gateway.counters["gossip.rejected.family_not_allowed"] == 1
+
+
 class TestMeshStorm:
     def test_lite_storm_completes_without_failures(self, fleet_build):
         deployment, mesh, fleet, kernel = make_event_mesh(fleet_build)

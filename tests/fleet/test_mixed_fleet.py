@@ -9,12 +9,7 @@ import pytest
 from repro.attest import Evidence
 from repro.core import WELL_KNOWN_ATTESTATION_PATH
 from repro.crypto import ec, sigcache
-from repro.fleet import (
-    FleetWorkload,
-    HeterogeneousFleet,
-    UserPool,
-    revoke_family,
-)
+from repro.fleet import FleetWorkload, HeterogeneousFleet, UserPool
 from repro.fleet.drain import begin_rollout, finish_rollout
 from repro.net.http import HTTPS_PORT, HttpRequest, HttpResponse
 from repro.net.tls import tls_connect
@@ -73,7 +68,7 @@ def run_mixed_storm(build, seed=0, sessions=80, revoke_at=3.0):
 
     def revocation():
         yield sleep(revoke_at)
-        revoke_family(gateway, "tdx")
+        gateway.revoke_family("tdx")
 
     storm = kernel.spawn(
         workload.open_loop(sessions=sessions, arrival_rate=10.0),

@@ -4,15 +4,13 @@ import pytest
 
 from repro.attest import get_tracer, reset_tracer
 from repro.crypto.drbg import HmacDrbg
-from repro.storage.blockdev import BlockDeviceError, RamBlockDevice
+from repro.storage.blockdev import RamBlockDevice
 from repro.storage.dm import (
     ZERO_STORAGE_LATENCY,
     BlockCache,
-    DelayTarget,
     DmContext,
     DmError,
     DmTable,
-    FaultTarget,
     StorageMeter,
     TargetSpec,
     VolumeError,
@@ -269,45 +267,6 @@ class TestCachedVerity:
         assert volume.read_block(7)  # fresh verified walk succeeds
 
 
-class TestFaultTargets:
-    def test_delay_charges_sim_clock(self):
-        from repro.net.latency import SimClock
-
-        clock = SimClock()
-        backing = _filled_device(8, seed=b"delay")
-        meter = StorageMeter(ZERO_STORAGE_LATENCY, clock=clock)
-        delayed = DelayTarget(backing, meter, read_delay=0.010)
-        delayed.read_block(0)
-        delayed.read_blocks(1, 3)
-        assert clock.now == pytest.approx(0.040)
-        assert delayed.stats.get("delayed_reads") == 4
-
-    def test_fault_fail_block(self):
-        backing = _filled_device(8, seed=b"fault")
-        target = FaultTarget(backing, StorageMeter(ZERO_STORAGE_LATENCY))
-        target.fail_block(2)
-        with pytest.raises(BlockDeviceError):
-            target.read_block(2)
-        assert target.read_block(3)  # other blocks unaffected
-        target.heal()
-        assert target.read_block(2) == backing.read_block(2)
-
-    def test_fault_corrupt_on_read_is_a_mutation(self):
-        backing = _filled_device(8, seed=b"flip")
-        target = FaultTarget(backing, StorageMeter(ZERO_STORAGE_LATENCY))
-        before = target.mutation_count
-        target.corrupt_block(1)
-        assert target.mutation_count > before
-        assert target.read_block(1) != backing.read_block(1)
-
-    def test_delay_table_target(self):
-        _, _, context = _verity_context()
-        volume = DmTable.parse(
-            "slow", "linear device=data ; delay read_ms=5"
-        ).open(context)
-        assert volume.layer("delay").read_delay == pytest.approx(0.005)
-
-
 class TestCryptByteFastPath:
     def test_byte_io_uses_batched_blocks(self):
         disk = RamBlockDevice(32, BLOCK)
@@ -370,17 +329,6 @@ class TestVolumeRegistry:
         with pytest.raises(VolumeError) as excinfo:
             registry.open("data")
         assert excinfo.value.reason == "missing_role"
-        with pytest.raises(VolumeError) as excinfo:
-            registry.replace("data", _filled_device(4))
-        assert excinfo.value.reason == "missing_role"
-
-    def test_replace_swaps_existing_role(self):
-        registry = VolumeRegistry()
-        first = _filled_device(4, seed=b"a")
-        second = _filled_device(4, seed=b"b")
-        registry.register("data", first)
-        registry.replace("data", second)
-        assert registry["data"] is second
 
     def test_setitem_is_register(self):
         registry = VolumeRegistry()

@@ -118,21 +118,47 @@ GATES = [
         exempt="src/repro/build/",
     ),
     # Attacks are expressed as campaign scenarios, not ad-hoc fault
-    # calls: no test constructs raw fault hooks outside the scenario
-    # subsystem, the hooks' own unit tests (test_faults, including revert
-    # symmetry), and the components whose *reaction* to a fault is the
-    # unit under test (health monitor, farm eviction, hypervisor runtime
-    # tamper).  New attack tests go through repro.scenarios so
-    # containment, recovery and taxonomy coverage are asserted uniformly.
+    # calls: tests build attacks through the injector registry
+    # (repro.scenarios.injectors), which arms and undoes each fault on
+    # the component itself.  The hypervisor's runtime tamper helper may
+    # only be called by the scenario tests and by the components whose
+    # *reaction* to it is the unit under test (the hypervisor, the
+    # attack integration tests, and test_faults, which also tests its
+    # undo).
     Gate(
         "fault-injection",
-        (r"kill_backend\(|blackhole_kds\(|raise_tcb_floor\(|raise_family_tcb_floor\("
-         r"|corrupt_disk\(|slow_disk\(|tamper_disk_at_runtime\(",),
+        (r"tamper_disk_at_runtime\(",),
         ("tests",),
-        (("tests/fleet/test_planted.py", "handle = faults.kill_backend(backend)"),),
-        exempt=r"tests/(scenarios/|fleet/test_faults\.py|fleet/test_health\.py"
-               r"|fleet/test_farm_fleet\.py|virt/test_hypervisor_vm\.py"
-               r"|integration/test_attacks\.py)",
+        (("tests/fleet/test_planted.py",
+          "undo = hypervisor.tamper_disk_at_runtime(vm, offset)"),),
+        exempt=r"tests/(scenarios/|fleet/test_faults\.py"
+               r"|virt/test_hypervisor_vm\.py|integration/test_attacks\.py)",
+    ),
+    # One fault layer: the registered injector is the only way to arm
+    # a fault.  The fault-hook module and its handle, its six hooks,
+    # the dm delay/fault targets and the extra KDS doubles must not
+    # come back.
+    Gate(
+        "fault-layer",
+        (r"repro\.fleet\.faults", r"FaultHandle", r"kill_backend\(",
+         r"blackhole_kds\(", r"raise_tcb_floor\(", r"raise_family_tcb_floor\(",
+         r"corrupt_disk\(", r"slow_disk\(", r"DelayTarget", r"FaultTarget",
+         r"_ReplayKds", r"_SubstituteVcek", r"SubstituteVcekKds"),
+        ("src", "tests", "benchmarks", "examples"),
+        (("src/repro/fleet/planted.py", "from repro.fleet.faults import kill"),
+         ("tests/fleet/planted.py", "handle = FaultHandle(name, undo)"),
+         ("tests/fleet/planted.py", "handle = faults.kill_backend(gw, ip)"),
+         ("benchmarks/planted.py", "hole = blackhole_kds(gateway)"),
+         ("benchmarks/planted.py", "raise_tcb_floor(gateway, floor)"),
+         ("examples/planted.py", "raise_family_tcb_floor(gateway, 4)"),
+         ("tests/storage/planted.py", "handle = corrupt_disk(vm, 'rootfs')"),
+         ("tests/storage/planted.py", "handle = slow_disk(vm, 'verity')"),
+         ("src/repro/storage/planted.py", "target = DelayTarget(dev, meter)"),
+         ("src/repro/storage/planted.py", "target = FaultTarget(dev, meter)"),
+         ("src/repro/scenarios/planted.py", "kds = _ReplayKds(kds, tcb)"),
+         ("src/repro/scenarios/planted.py", "kds = _SubstituteVcek(kds, v)"),
+         ("tests/attest/planted.py", "kds = SubstituteVcekKds(kds, v)")),
+        python_only=False,
     ),
     # One policy shape: VerificationPolicy is one flat value that means
     # the same thing for every TEE family, and multi-family verifiers
