@@ -127,16 +127,14 @@ def _build(version: str = "1.0.0"):
     )
 
 
-def _world(build, backends: int, seed: int, balancer: str):
+def _world(build, backends: int, seed: int):
     """A gateway-fronted fleet on a fresh event kernel."""
     deployment = RevelioDeployment(
         build, num_nodes=backends, seed=f"bench-fleet-{seed}".encode()
     ).deploy()
     kernel = EventKernel(deployment.network.clock, SimRng(seed))
     deployment.network.enable_event_mode(kernel)
-    gateway = FleetGateway.for_deployment(
-        deployment, kernel=kernel, balancer=balancer
-    )
+    gateway = FleetGateway.for_deployment(deployment, kernel=kernel)
     verdicts = gateway.admit_all()
     assert all(v.ok for v in verdicts), [v.reason for v in verdicts if not v.ok]
     return deployment, gateway, kernel
@@ -205,9 +203,7 @@ def phase_sig_cache_ablation(args, build) -> dict:
         ec.reset_point_cache()
         reset_tracer()
         sigcache.set_enabled(cache_on)
-        deployment, gateway, kernel = _world(
-            build, args.backends, args.seed, args.balancer
-        )
+        deployment, gateway, kernel = _world(build, args.backends, args.seed)
         farm = None
         extension_setup = None
         if with_farm:
@@ -285,9 +281,7 @@ def phase_sig_cache_ablation(args, build) -> dict:
 def phase_storm_with_rollout(args, build_v1, build_v2) -> dict:
     sigcache.reset_cache()
     ec.reset_point_cache()
-    deployment, gateway, kernel = _world(
-        build_v1, args.backends, args.seed, args.balancer
-    )
+    deployment, gateway, kernel = _world(build_v1, args.backends, args.seed)
 
     def delayed_rollout():
         yield sleep(args.rollout_at)
@@ -325,7 +319,6 @@ def phase_storm_with_rollout(args, build_v1, build_v2) -> dict:
     return {
         "sessions": args.sessions,
         "backends": args.backends,
-        "balancer": args.balancer,
         "arrival_rate_per_sec": args.arrival_rate,
         "sim_seconds": round(kernel.clock.now, 6),
         "requests_total": snapshot["requests_total"],
@@ -377,9 +370,7 @@ def phase_mixed_fleet(args, build) -> dict:
     sigcache.reset_cache()
     ec.reset_point_cache()
     snp_backends = max(2, args.backends // 2)
-    deployment, gateway, kernel = _world(
-        build, snp_backends, args.seed, args.balancer
-    )
+    deployment, gateway, kernel = _world(build, snp_backends, args.seed)
     fleet = HeterogeneousFleet(deployment)
     for index in range(args.hetero_per_family):
         fleet.add_backend(f"10.1.0.{10 + index}", "tdx")
@@ -619,7 +610,6 @@ def main(argv=None) -> dict:
                         help="TDX/CCA/e-vTPM backends each in phase C")
     parser.add_argument("--revoke-at", type=float, default=20.0,
                         help="sim seconds into phase C to revoke the tdx family")
-    parser.add_argument("--balancer", default="round_robin")
     parser.add_argument("--phases", default="ABCD",
                         help="which phases to run, e.g. 'D' or 'ABC'")
     parser.add_argument("--mesh-sessions", type=int, default=1_000_000)

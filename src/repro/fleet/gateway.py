@@ -3,7 +3,7 @@
 An opaque-forwarding load balancer: TLS terminates on the *backends*
 (every fleet node serves the shared attested identity), so the gateway
 routes on the cleartext envelope fields only — ``client_hello`` starts
-a session on a backend chosen by the balancing policy, ``record``
+a session on the next admitted backend in round-robin order, ``record``
 messages follow their session's affinity.  End-to-end the client still
 pins the fleet TLS key through the attested well-known flow; the
 gateway cannot read or forge traffic.
@@ -55,8 +55,28 @@ from ..net.simnet import Network, NetworkError
 from ..net.tls import TlsError, tls_connect
 from ..sim.resources import Server
 
-#: Balancing policies (pluggable via the ``balancer`` argument).
-BALANCERS = ("round_robin", "least_outstanding", "weighted_latency")
+#: Backends a new session tries before it fails ``no_healthy_backend``.
+MAX_RETRIES = 3
+
+#: The tier of a hello whose ``tier`` tag is absent or unknown here.
+DEFAULT_TIER = "bulk"
+
+#: The admission state machine, ``event -> {state: next state}``, applied
+#: by the one writer :meth:`FleetGateway._move`.  A state missing from an
+#: event's row ignores the event.  ``pass``/``fail`` are this gateway's
+#: verdicts, ``gossip_pass``/``gossip_fail`` a peer's: a peer's pass
+#: admits only a pending backend, a peer's fail never rejects one.
+ADMISSION_MOVES = {
+    "pass": {"pending": "admitted", "admitted": "admitted"},
+    "gossip_pass": {"pending": "admitted"},
+    "fail": {"pending": "rejected", "admitted": "evicted", "draining": "evicted"},
+    "gossip_fail": {"admitted": "evicted", "draining": "evicted"},
+    "evict": {"pending": "evicted", "admitted": "evicted", "draining": "evicted",
+              "rejected": "evicted"},
+    "drain": {"admitted": "draining"},
+    "retire": {"pending": "retired", "admitted": "retired", "draining": "retired",
+               "rejected": "retired", "evicted": "retired"},
+}
 
 #: The gateway layer's own stable reason codes — everything the probe,
 #: routing, and health machinery can emit *in addition to* the
@@ -104,6 +124,7 @@ class BackendState:
 
     ip_address: str
     #: pending -> admitted -> draining -> retired, or -> evicted/rejected
+    #: (every move: ``ADMISSION_MOVES``).
     state: str = "pending"
     #: Kernel service station replaying this backend's share of each
     #: request (models its concurrency limit); None in synchronous mode.
@@ -111,8 +132,6 @@ class BackendState:
     verdict_ok: bool = False
     verdict_reason: str = ""
     verdict_time: Optional[float] = None
-    #: EWMA of recent forward latency (the weighted_latency signal).
-    ewma_latency: Optional[float] = None
     consecutive_failures: int = 0
     requests_forwarded: int = 0
     #: Forwards attempted after retirement — the rollout acceptance
@@ -162,19 +181,14 @@ class FleetGateway:
         trust_anchors,
         golden_measurements,
         rng=None,
-        balancer: str = "round_robin",
         verdict_ttl: float = 300.0,
-        max_retries: int = 3,
         kernel=None,
         name: str = "fleet-gateway",
         tier_families=None,
-        default_tier: str = "bulk",
         contexts=None,
         region: Optional[str] = None,
         farm=None,
     ):
-        if balancer not in BALANCERS:
-            raise ValueError(f"unknown balancer {balancer!r}; pick from {BALANCERS}")
         self.network = network
         self.domain = domain
         self.trust_anchors = list(trust_anchors)
@@ -191,9 +205,7 @@ class FleetGateway:
         #: and CCA).
         self.tcb_floors: Dict[str, object] = {}
         self._rng = rng
-        self.balancer = balancer
         self.verdict_ttl = verdict_ttl
-        self.max_retries = max_retries
         self.kernel = kernel
         #: Families revoked fleet-wide (re-attestation of their
         #: backends fails closed with ``family_not_allowed``).
@@ -212,7 +224,6 @@ class FleetGateway:
             )
             for tier, families in tier_families.items()
         }
-        self.default_tier = default_tier
         #: Optional :class:`~repro.attest.farm.VerifyFarm` shared by
         #: this gateway's verifier (and, in a mesh, its peers): health
         #: re-attestation rounds settle every backend's signature
@@ -251,7 +262,6 @@ class FleetGateway:
         kernel=None,
         ip_address: str = "10.9.0.1",
         concurrency: int = 4,
-        register_dns: bool = True,
         **kwargs,
     ) -> "FleetGateway":
         """Front an existing :class:`RevelioDeployment`: one backend per
@@ -271,8 +281,7 @@ class FleetGateway:
         )
         for deployed in deployment.nodes:
             gateway.add_backend(deployed.host.ip_address, concurrency=concurrency)
-        if register_dns:
-            deployment.network.dns.register(deployment.domain, ip_address)
+        deployment.network.dns.register(deployment.domain, ip_address)
         return gateway
 
     # -- backend lifecycle ------------------------------------------
@@ -338,26 +347,32 @@ class FleetGateway:
             allowed_families=allowed,
         )
 
+    def fetch_evidence(self, ip_address: str):
+        """One fresh TLS handshake to a backend and a GET of its
+        well-known attestation endpoint, as an end-user makes them.
+        Returns ``(connection, response)``; raises ``ConnectionError``
+        when the backend cannot be reached."""
+        connection = tls_connect(
+            self.host,
+            ip_address,
+            HTTPS_PORT,
+            self.domain,
+            self.trust_anchors,
+            self._rng,
+            now=self.network.clock.epoch_seconds(),
+        )
+        raw = connection.request(
+            HttpRequest("GET", WELL_KNOWN_ATTESTATION_PATH).encode()
+        )
+        return connection, HttpResponse.decode(raw)
+
     def _probe_evidence(self, ip_address: str):
-        """The probe half of an attestation: fresh TLS handshake,
-        well-known evidence fetch, family sanity check.  Returns
-        ``(evidence, policy)`` on success or a failure
-        :class:`AdmissionVerdict` (already recorded)."""
-        clock = self.network.clock
+        """The probe half of an attestation: :meth:`fetch_evidence`
+        plus a family sanity check.  Returns ``(evidence, policy)`` on
+        success or a failure :class:`AdmissionVerdict` (already
+        applied)."""
         try:
-            connection = tls_connect(
-                self.host,
-                ip_address,
-                HTTPS_PORT,
-                self.domain,
-                self.trust_anchors,
-                self._rng,
-                now=clock.epoch_seconds(),
-            )
-            raw = connection.request(
-                HttpRequest("GET", WELL_KNOWN_ATTESTATION_PATH).encode()
-            )
-            response = HttpResponse.decode(raw)
+            connection, response = self.fetch_evidence(ip_address)
         except ConnectionError as exc:
             return self._verdict(ip_address, False, "backend_unreachable", str(exc))
         if response.status != 200:
@@ -382,7 +397,9 @@ class FleetGateway:
         """Probe one backend through the full end-user flow: fresh TLS
         handshake, well-known evidence fetch, family-dispatched pipeline
         verification with the REPORT_DATA bound to the *probed
-        connection's* key."""
+        connection's* key.  A registered backend then moves on the
+        verdict: a pass admits, a fail rejects or evicts with the
+        verdict's reason code."""
         probe = self._probe_evidence(ip_address)
         if isinstance(probe, AdmissionVerdict):
             return probe
@@ -399,14 +416,23 @@ class FleetGateway:
             )
         return self._verdict(ip_address, True, "", "")
 
-    def attest_many(self, ip_addresses) -> list:
-        """Probe a group of backends, then settle every probe's
-        signature equations in one verify-farm batch — shared ARK/ASK
-        chain terms across the fleet are verified once per *round*, not
-        once per backend.  Without a farm this degrades to sequential
-        :meth:`attest_backend` semantics.  Returns one
-        :class:`AdmissionVerdict` per address, in order."""
+    def attest_and_admit(self, ip_address: str) -> AdmissionVerdict:
+        """:meth:`attest_backend` for a registered backend."""
+        if ip_address not in self._backends:
+            raise GatewayError("unknown_backend", ip_address)
+        return self.attest_backend(ip_address)
+
+    def attest_and_admit_many(self, ip_addresses) -> list:
+        """Group :meth:`attest_and_admit`: probe every backend, then
+        settle every probe's signature equations in one verify-farm
+        batch — shared ARK/ASK chain terms across the fleet are verified
+        once per *round*, not once per backend.  Without a farm this
+        degrades to sequential :meth:`attest_backend` semantics.
+        Returns one :class:`AdmissionVerdict` per address, in order."""
         ips = list(ip_addresses)
+        for ip_address in ips:
+            if ip_address not in self._backends:
+                raise GatewayError("unknown_backend", ip_address)
         verdicts: list = [None] * len(ips)
         pending = []  # (slot, ip, evidence, policy)
         for slot, ip_address in enumerate(ips):
@@ -441,62 +467,65 @@ class FleetGateway:
 
     def _verdict(self, ip_address: str, ok: bool, reason: str,
                  detail: str) -> AdmissionVerdict:
-        backend = self._backends.get(ip_address)
-        if backend is not None:
-            backend.verdict_ok = ok
-            backend.verdict_reason = reason
-            backend.verdict_time = self.network.clock.now
+        """Count one verdict of this gateway and apply it to the backend
+        (if registered) as a ``pass`` or ``fail``."""
         self._count("attestations_ok" if ok else f"attestations_failed.{reason}")
+        backend = self._backends.get(ip_address)
         if backend is not None:
             self._count(
                 f"family.{backend.family}.attestations_ok"
                 if ok
                 else f"family.{backend.family}.attestations_failed.{reason}"
             )
-            if self.on_verdict is not None:
-                self.on_verdict(
-                    self, ip_address, backend.family, ok, reason,
-                    backend.verdict_time,
-                )
+            self._move(backend, "pass" if ok else "fail", reason,
+                       verdict_time=self.network.clock.now)
         return AdmissionVerdict(ip_address, ok, reason, detail)
 
-    def _apply_admission(
-        self, ip_address: str, verdict: AdmissionVerdict
-    ) -> AdmissionVerdict:
-        """State transition for one attestation verdict: admit on pass,
-        evict/reject (with the verdict's reason code) on fail."""
-        backend = self._backends[ip_address]
-        if verdict.ok:
-            if backend.state in ("pending", "admitted"):
-                if backend.state == "pending":
-                    self._count(f"admissions.{backend.family}")
-                backend.state = "admitted"
-                backend.consecutive_failures = 0
-        elif backend.state in ("admitted", "draining"):
-            self.evict(ip_address, verdict.reason, verdict.detail)
-        elif backend.state == "pending":
-            backend.state = "rejected"
-            self._count(f"admissions_rejected.{verdict.reason}")
-        return verdict
+    def _move(self, backend: BackendState, event: str, reason: str = "",
+              verdict_time: Optional[float] = None) -> None:
+        """The one admission writer: no other code sets a backend's
+        ``state`` or verdict fields (DESIGN.md invariant 11).
 
-    def attest_and_admit(self, ip_address: str) -> AdmissionVerdict:
-        """Attest; admit on pass, evict/reject (with the verdict's
-        reason code) on fail."""
-        if ip_address not in self._backends:
-            raise GatewayError("unknown_backend", ip_address)
-        return self._apply_admission(ip_address, self.attest_backend(ip_address))
-
-    def attest_and_admit_many(self, ip_addresses) -> list:
-        """Group :meth:`attest_and_admit`: one verify-farm settlement
-        covers the whole round's signature checks."""
-        ips = list(ip_addresses)
-        for ip_address in ips:
-            if ip_address not in self._backends:
-                raise GatewayError("unknown_backend", ip_address)
-        return [
-            self._apply_admission(ip_address, verdict)
-            for ip_address, verdict in zip(ips, self.attest_many(ips))
-        ]
+        An event that carries a verdict (``pass``, ``fail`` and their
+        gossip forms, given with its *verdict_time*) records it first,
+        and a verdict of this gateway goes to ``on_verdict``.  The
+        backend then moves as ``ADMISSION_MOVES`` says, or stays.  Each
+        move counts itself; eviction (with *reason*) and retirement
+        clear the verdict and sever the backend's sessions."""
+        if verdict_time is not None:
+            ok = event in ("pass", "gossip_pass")
+            backend.verdict_ok = ok
+            backend.verdict_reason = reason
+            backend.verdict_time = verdict_time
+            if event in ("pass", "fail") and self.on_verdict is not None:
+                self.on_verdict(
+                    self, backend.ip_address, backend.family, ok, reason,
+                    verdict_time,
+                )
+        source = backend.state
+        target = ADMISSION_MOVES[event].get(source)
+        if target is None:
+            return
+        backend.state = target
+        if target == "admitted":
+            backend.consecutive_failures = 0
+            if source == "pending":
+                self._count(f"admissions.{backend.family}")
+                if event == "gossip_pass":
+                    self._count("gossip.admissions")
+        elif target == "rejected":
+            self._count(f"admissions_rejected.{reason}")
+        elif target == "draining":
+            self._count("drains_started")
+        else:  # evicted or retired
+            backend.verdict_ok = False
+            if target == "evicted":
+                backend.verdict_reason = reason
+                self._count(f"evictions.{reason}")
+                self._count(f"family.{backend.family}.evictions.{reason}")
+            else:
+                self._count("retirements")
+            self._sever_sessions(backend.ip_address)
 
     def accept_gossip(self, record, max_staleness: float) -> bool:
         """Apply a verdict gossiped by a peer gateway (DESIGN.md
@@ -537,18 +566,11 @@ class FleetGateway:
         ):
             self._count("gossip.rejected.older")
             return False
-        backend.verdict_ok = record.ok
-        backend.verdict_reason = record.reason
-        backend.verdict_time = record.verdict_time
         self._count("gossip.applied")
-        if record.ok:
-            if backend.state == "pending":
-                backend.state = "admitted"
-                backend.consecutive_failures = 0
-                self._count(f"admissions.{backend.family}")
-                self._count("gossip.admissions")
-        elif backend.active():
-            self.evict(record.backend_ip, record.reason, "gossiped verdict")
+        self._move(
+            backend, "gossip_pass" if record.ok else "gossip_fail",
+            record.reason, verdict_time=record.verdict_time,
+        )
         return True
 
     def admit_all(self) -> List[AdmissionVerdict]:
@@ -562,14 +584,8 @@ class FleetGateway:
     def evict(self, ip_address: str, reason: str, detail: str = "") -> None:
         """Stop routing to a backend and sever its sessions."""
         backend = self._backends.get(ip_address)
-        if backend is None or backend.state in ("evicted", "retired"):
-            return
-        backend.state = "evicted"
-        backend.verdict_ok = False
-        backend.verdict_reason = reason
-        self._count(f"evictions.{reason}")
-        self._count(f"family.{backend.family}.evictions.{reason}")
-        self._sever_sessions(ip_address)
+        if backend is not None:
+            self._move(backend, "evict", reason)
 
     def revoke_family(self, family, reason: str = "family_not_allowed") -> None:
         """Fleet-wide family revocation (e.g. an architectural break
@@ -589,19 +605,14 @@ class FleetGateway:
     def mark_draining(self, ip_address: str) -> None:
         """No new sessions; existing sessions keep being served."""
         backend = self._backends.get(ip_address)
-        if backend is not None and backend.state == "admitted":
-            backend.state = "draining"
-            self._count("drains_started")
+        if backend is not None:
+            self._move(backend, "drain")
 
     def retire(self, ip_address: str) -> None:
         """Final removal after a drain: sever whatever sessions remain."""
         backend = self._backends.get(ip_address)
-        if backend is None or backend.state == "retired":
-            return
-        backend.state = "retired"
-        backend.verdict_ok = False
-        self._count("retirements")
-        self._sever_sessions(ip_address)
+        if backend is not None:
+            self._move(backend, "retire")
 
     def close_session(self, session_id) -> None:
         """Forget a finished session's affinity (storm workloads close
@@ -649,11 +660,9 @@ class FleetGateway:
 
     def _session_tier(self, message: Optional[dict]) -> str:
         """The effective tier of a hello: its cleartext ``tier`` tag if
-        the gateway knows that tier, the default tier otherwise."""
-        tier = (message or {}).get("tier") or self.default_tier
-        if tier not in self.tier_families:
-            tier = self.default_tier
-        return tier
+        the gateway knows that tier, ``DEFAULT_TIER`` otherwise."""
+        tier = (message or {}).get("tier")
+        return tier if tier in self.tier_families else DEFAULT_TIER
 
     def _route_new_session(self, payload: bytes,
                            message: Optional[dict] = None) -> bytes:
@@ -671,15 +680,17 @@ class FleetGateway:
             self._count("routing_failed.no_healthy_backend")
             self._count(f"tier.{tier}.routing_failed")
             raise GatewayError("no_healthy_backend", f"tier={tier}")
+        self._rr_cursor += 1
+        pivot = self._rr_cursor % len(candidates)
         attempts = 0
-        for backend in self._preference_order(candidates):
-            if attempts >= self.max_retries:
+        for backend in candidates[pivot:] + candidates[:pivot]:
+            if attempts >= MAX_RETRIES:
                 break
             if not backend.active():  # evicted by an earlier attempt
                 continue
             attempts += 1
             try:
-                raw, elapsed = self._forward(backend, payload)
+                raw = self._forward(backend, payload)
             except TlsError as exc:
                 # The backend's TLS refused what the client sent: the
                 # message was bad, not the backend, so it stays admitted
@@ -722,7 +733,7 @@ class FleetGateway:
             self._count("records_severed")
             raise GatewayError("session_severed", backend_ip)
         try:
-            raw, _elapsed = self._forward(backend, payload)
+            raw = self._forward(backend, payload)
         except TlsError as exc:
             # Refused by the backend's TLS: the backend stays admitted and
             # the session keeps its affinity (a refused record advances no
@@ -733,43 +744,15 @@ class FleetGateway:
             raise GatewayError("backend_unreachable", str(exc)) from exc
         return raw
 
-    def _forward(self, backend: BackendState, payload: bytes) -> Tuple[bytes, float]:
+    def _forward(self, backend: BackendState, payload: bytes) -> bytes:
         if backend.state == "retired":  # accounting guard; never routed
             backend.requests_after_retired += 1
         with self.network.measure() as scope:
             raw = self.host.request(backend.ip_address, HTTPS_PORT, payload)
-        elapsed = scope.elapsed
         backend.requests_forwarded += 1
-        if backend.ewma_latency is None:
-            backend.ewma_latency = elapsed
-        else:
-            backend.ewma_latency = 0.8 * backend.ewma_latency + 0.2 * elapsed
-        self._route_log.append((backend.ip_address, elapsed))
+        self._route_log.append((backend.ip_address, scope.elapsed))
         self._count("requests_routed")
-        return raw, elapsed
-
-    def _preference_order(self, candidates: List[BackendState]) -> List[BackendState]:
-        if self.balancer == "round_robin":
-            self._rr_cursor += 1
-            pivot = self._rr_cursor % len(candidates)
-            return candidates[pivot:] + candidates[:pivot]
-        if self.balancer == "least_outstanding":
-            return sorted(
-                candidates,
-                key=lambda b: (
-                    b.server.outstanding if b.server is not None else 0,
-                    b.ip_address,
-                ),
-            )
-        # weighted_latency: prefer the lowest recent forward latency;
-        # unmeasured backends first so every backend gets sampled.
-        return sorted(
-            candidates,
-            key=lambda b: (
-                b.ewma_latency if b.ewma_latency is not None else -1.0,
-                b.ip_address,
-            ),
-        )
+        return raw
 
     # -- instrumentation --------------------------------------------
 

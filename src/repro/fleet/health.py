@@ -14,9 +14,6 @@ confirm freshness, so it stops serving; DESIGN.md invariant 11).
 
 from __future__ import annotations
 
-from ..core.guest import WELL_KNOWN_ATTESTATION_PATH
-from ..net.http import HTTPS_PORT, HttpRequest, HttpResponse
-from ..net.tls import tls_connect
 from ..sim.kernel import Interrupt, sleep
 from .gateway import BackendState, FleetGateway
 
@@ -77,23 +74,10 @@ class HealthMonitor:
             self.gateway.attest_and_admit_many(due)
 
     def _probe(self, backend: BackendState) -> bool:
-        gateway = self.gateway
-        network = gateway.network
+        network = self.gateway.network
         try:
             with network.measure() as scope:
-                connection = tls_connect(
-                    gateway.host,
-                    backend.ip_address,
-                    HTTPS_PORT,
-                    gateway.domain,
-                    gateway.trust_anchors,
-                    gateway._rng,
-                    now=network.clock.epoch_seconds(),
-                )
-                raw = connection.request(
-                    HttpRequest("GET", WELL_KNOWN_ATTESTATION_PATH).encode()
-                )
-                response = HttpResponse.decode(raw)
+                _, response = self.gateway.fetch_evidence(backend.ip_address)
         except ConnectionError:
             self._failure(backend, "backend_unreachable")
             return False

@@ -54,6 +54,7 @@ from .drain import drain_backend
 from .gateway import FleetGateway
 from .health import HealthMonitor
 from .hetero import Backend, HeterogeneousFleet
+from .workload import pick_tier, replay_routes
 
 
 def _hash_point(key: bytes) -> int:
@@ -566,18 +567,6 @@ class MeshWorkload:
         self._remaining = 0
         self._done = None
 
-    def _pick_tier(self):
-        if not self.tier_weights:
-            return None
-        total = sum(self.tier_weights.values())
-        draw = self._tier_rng.random() * total
-        cumulative = 0.0
-        for tier, weight in sorted(self.tier_weights.items()):
-            cumulative += weight
-            if draw < cumulative:
-                return tier
-        return sorted(self.tier_weights)[-1]
-
     # -- one exchange -----------------------------------------------
 
     def _exchange(self, client, gateway: FleetGateway, message: dict,
@@ -598,17 +587,7 @@ class MeshWorkload:
                 )
             except ConnectionError as exc:
                 failure = getattr(exc, "reason", "") or "connection_error"
-        replayed = 0.0
-        for backend_ip, share in gateway.take_routes():
-            backend = gateway.backends.get(backend_ip)
-            if backend is not None and backend.server is not None:
-                yield from backend.server.process(share)
-            elif share > 0:
-                yield sleep(share)
-            replayed += share
-        remainder = scope.elapsed - replayed
-        if remainder > 0:
-            yield sleep(remainder)
+        yield from replay_routes(gateway, scope.elapsed)
         metrics = self.metrics
         metrics.increment("requests_total")
         if failure == "session_severed":
@@ -629,7 +608,7 @@ class MeshWorkload:
         session_key = b"session:%d" % index
         gateway = self.mesh.gateway_for(session_key)
         hello = {"type": "client_hello", "lite": True, "n": index}
-        tier = self._pick_tier()
+        tier = pick_tier(self.tier_weights, self._tier_rng)
         if tier is not None:
             hello["tier"] = tier
         session_id = None

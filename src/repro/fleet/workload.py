@@ -26,6 +26,40 @@ from ..sim.rng import SimRng
 from .gateway import FleetGateway
 
 
+def pick_tier(tier_weights, rng):
+    """Draw a session tier from *tier_weights* (tier name -> weight)
+    with one ``rng.random()``; None when there are no weights (the
+    session stays untagged)."""
+    if not tier_weights:
+        return None
+    total = sum(tier_weights.values())
+    draw = rng.random() * total
+    cumulative = 0.0
+    for tier, weight in sorted(tier_weights.items()):
+        cumulative += weight
+        if draw < cumulative:
+            return tier
+    return sorted(tier_weights)[-1]
+
+
+def replay_routes(gateway: FleetGateway, elapsed: float):
+    """``yield from`` this after an exchange that took *elapsed* virtual
+    seconds in an isolated clock scope: replay each backend's share of
+    it against that backend's service station (the queueing model),
+    then sleep the client-side remainder."""
+    replayed = 0.0
+    for backend_ip, share in gateway.take_routes():
+        backend = gateway.backends.get(backend_ip)
+        if backend is not None and backend.server is not None:
+            yield from backend.server.process(share)
+        elif share > 0:
+            yield sleep(share)
+        replayed += share
+    remainder = elapsed - replayed
+    if remainder > 0:
+        yield sleep(remainder)
+
+
 class UserPool:
     """A fixed population of browsers, checked out per session.
 
@@ -110,19 +144,6 @@ class FleetWorkload:
         self.sessions_completed = 0
         self._sessions_remaining = 0
 
-    def _pick_tier(self):
-        """Draw a session tier from ``tier_weights`` (None = untagged)."""
-        if not self.tier_weights:
-            return None
-        total = sum(self.tier_weights.values())
-        draw = self._tier_rng.random() * total
-        cumulative = 0.0
-        for tier, weight in sorted(self.tier_weights.items()):
-            cumulative += weight
-            if draw < cumulative:
-                return tier
-        return sorted(self.tier_weights)[-1]
-
     # -- one visit --------------------------------------------------
 
     def _visit(self, browser, kind: str, tier=None):
@@ -135,19 +156,7 @@ class FleetWorkload:
                 blocked = result.blocked
             except ConnectionError:
                 failed = True
-        # Replay each backend's share against its service station (the
-        # queueing model), then sleep the client-side remainder.
-        replayed = 0.0
-        for backend_ip, share in self.gateway.take_routes():
-            backend = self.gateway.backends.get(backend_ip)
-            if backend is not None and backend.server is not None:
-                yield from backend.server.process(share)
-            elif share > 0:
-                yield sleep(share)
-            replayed += share
-        remainder = scope.elapsed - replayed
-        if remainder > 0:
-            yield sleep(remainder)
+        yield from replay_routes(self.gateway, scope.elapsed)
 
         latency = network.clock.now - started
         metrics = self.metrics
@@ -166,7 +175,7 @@ class FleetWorkload:
         metrics.window("throughput").record()
 
     def _session(self, browser):
-        tier = self._pick_tier()
+        tier = pick_tier(self.tier_weights, self._tier_rng)
         browser.session_tier = tier
         browser.new_session()
         yield from self._visit(browser, "first_visit", tier=tier)

@@ -1,4 +1,4 @@
-"""Gateway admission, routing policies, affinity, and counters."""
+"""Gateway admission, round-robin routing, affinity, and counters."""
 
 import pytest
 
@@ -76,14 +76,6 @@ class TestAdmission:
         with pytest.raises(GatewayError, match="unknown_backend"):
             gateway.attest_and_admit("10.0.0.99")
 
-    def test_unknown_balancer_refused(self, sync_world):
-        deployment, _, _ = sync_world
-        with pytest.raises(ValueError, match="unknown balancer"):
-            FleetGateway.for_deployment(
-                deployment, ip_address="10.9.0.3", balancer="random",
-                register_dns=False,
-            )
-
 
 class TestVerdictFreshness:
     def test_stale_verdict_stops_new_sessions(self, fleet_build):
@@ -116,29 +108,6 @@ class TestBalancers:
         # 6 first visits over 3 backends: an even 2-2-2 split of sessions
         # (each visit = handshake + well-known + page on one backend).
         assert all(count == counts[0] for count in counts)
-
-    def test_least_outstanding_prefers_idle_backends(self):
-        gateway = object.__new__(FleetGateway)  # policy logic only
-        gateway.balancer = "least_outstanding"
-
-        class FakeServer:
-            def __init__(self, outstanding):
-                self.outstanding = outstanding
-
-        busy = BackendState("10.0.0.1", server=FakeServer(5))
-        idle = BackendState("10.0.0.2", server=FakeServer(0))
-        mid = BackendState("10.0.0.3", server=FakeServer(2))
-        order = gateway._preference_order([busy, idle, mid])
-        assert [b.ip_address for b in order] == ["10.0.0.2", "10.0.0.3", "10.0.0.1"]
-
-    def test_weighted_latency_prefers_fast_then_unsampled(self):
-        gateway = object.__new__(FleetGateway)
-        gateway.balancer = "weighted_latency"
-        fast = BackendState("10.0.0.1", ewma_latency=0.010)
-        slow = BackendState("10.0.0.2", ewma_latency=0.200)
-        unsampled = BackendState("10.0.0.3")
-        order = gateway._preference_order([fast, slow, unsampled])
-        assert [b.ip_address for b in order] == ["10.0.0.3", "10.0.0.1", "10.0.0.2"]
 
 
 class TestAffinityAndSevering:
