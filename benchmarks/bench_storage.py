@@ -68,7 +68,7 @@ def _build_variant(kind: str, blocks: int):
     else:
         outer = None
 
-    targets = ["linear device=disk", f"cache blocks={blocks}"]
+    targets = ["linear device=disk"]
     if inner:
         targets.append(inner)
     if outer:

@@ -76,7 +76,7 @@ MIN_DATA_VOLUME_BLOCKS = 4
 #: topology — including the verity binding to the cmdline root hash and
 #: the sealing-key crypt target — is covered by the launch measurement.
 ROOTFS_DM_TABLE = (
-    "linear partition=rootfs ; cache blocks=128 ; "
+    "linear partition=rootfs ; "
     "verity hash=partition:verity root=cmdline:verity_root_hash"
 )
 DATA_DM_TABLE = "linear partition=data ; crypt key=sealing format=auto fill=zero"
@@ -339,17 +339,9 @@ def build_revelio_image(
     )
     disk_image = _assemble_disk(spec, rootfs_image, verity_bytes)
 
-    # The legacy per-partition parameters stay alongside the dm tables
-    # so images remain bootable by older init-step implementations.
     initrd = InitrdDescriptor(
         init_steps=spec.init_steps,
-        parameters={
-            "rootfs_partition": "rootfs",
-            "verity_partition": "verity",
-            "data_partition": "data",
-            "rootfs_table": ROOTFS_DM_TABLE,
-            "data_table": DATA_DM_TABLE,
-        },
+        parameters={"rootfs_table": ROOTFS_DM_TABLE, "data_table": DATA_DM_TABLE},
     ).encode()
     kernel = KernelBlob(KERNEL_NAME, KERNEL_VERSION, KERNEL_FEATURES).encode()
     cmdline = (

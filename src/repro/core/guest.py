@@ -111,14 +111,11 @@ def _dm_context(vm: VirtualMachine, keys: Optional[Dict[str, bytes]] = None) -> 
     )
 
 
-def _initrd_table(vm: VirtualMachine, param: str, name: str,
-                  legacy: str) -> DmTable:
-    """The named dm table from the initrd parameters, falling back to a
-    table synthesised from the pre-table per-partition parameters (older
-    images carry only those)."""
+def _initrd_table(vm: VirtualMachine, param: str, name: str) -> DmTable:
+    """The dm table the measured initrd carries under *param*."""
     text = vm.initrd_params.get(param)
     if text is None:
-        text = legacy
+        raise GuestError(f"the initrd carries no {param!r} dm table")
     return DmTable.parse(name, text)
 
 
@@ -132,16 +129,7 @@ def _setup_verity_rootfs(vm: VirtualMachine) -> None:
     as verification failures here."""
     if not vm.cmdline_args.get("verity_root_hash", ""):
         raise GuestError("no verity root hash on the kernel command line")
-    table = _initrd_table(
-        vm,
-        "rootfs_table",
-        "rootfs",
-        legacy=(
-            f"linear partition={vm.initrd_params['rootfs_partition']} ; "
-            f"verity hash=partition:{vm.initrd_params['verity_partition']} "
-            "root=cmdline:verity_root_hash"
-        ),
-    )
+    table = _initrd_table(vm, "rootfs_table", "rootfs")
     volume = table.open(_dm_context(vm))
     volume.verify_all()  # Table 1's "dm-verity verify" service
     vm.storage.register("verity", volume)
@@ -170,15 +158,7 @@ def _setup_encrypted_data(vm: VirtualMachine) -> None:
     volume)."""
     sealing_key = vm.guest.derive_sealing_key(b"disk-encryption")
     master_key = hkdf(sealing_key, info=b"luks-master-key", length=64)
-    table = _initrd_table(
-        vm,
-        "data_table",
-        "data",
-        legacy=(
-            f"linear partition={vm.initrd_params['data_partition']} ; "
-            "crypt key=sealing format=auto fill=zero"
-        ),
-    )
+    table = _initrd_table(vm, "data_table", "data")
     volume = table.open(_dm_context(vm, keys={"sealing": master_key}))
     vm.storage.register("data", volume)
 

@@ -8,7 +8,7 @@ Simulates the Linux storage stack a Revelio VM relies on:
 * :mod:`dm_verity` — verify-on-read integrity target (Merkle tree),
 * :mod:`dm_crypt` — AES-XTS-plain64 encryption with a LUKS-like header,
 * :mod:`dm` — declarative device-mapper tables stacking the targets
-  above (plus a block cache) into named volumes,
+  above into named volumes,
 * :mod:`filesystem` — a deterministic read-only filesystem image.
 """
 
@@ -23,7 +23,6 @@ from .blockdev import (
 )
 from .dm import (
     ZERO_STORAGE_LATENCY,
-    BlockCache,
     CachedVerityDevice,
     DmContext,
     DmError,
@@ -66,7 +65,6 @@ from .partition import PartitionEntry, PartitionError, PartitionTable
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "BlockCache",
     "BlockDevice",
     "BlockDeviceError",
     "CachedVerityDevice",

@@ -8,8 +8,8 @@ form — targets separated by ``;`` , each ``kind key=value ...`` — that
 the image builder emits next to the golden measurement and the guest's
 (measured) initrd carries, so the boot-to-mount path is data, not code:
 
-    linear partition=rootfs ; cache blocks=128 ; verity
-    hash=partition:verity root=cmdline:verity_root_hash
+    linear partition=rootfs ; verity hash=partition:verity
+    root=cmdline:verity_root_hash
 
 Supported targets, bottom-up:
 
@@ -17,9 +17,6 @@ Supported targets, bottom-up:
   (``partition=``), a named context device (``device=``), or an
   explicit ``first=``/``blocks=`` slice.  Models physical I/O and is
   where the :class:`StorageLatencyModel` charges seek/transfer cost.
-* ``cache`` — a bounded write-through LRU :class:`BlockCache` over the
-  layer below; invalidated wholesale when the backing device mutates
-  out-of-band (`mutation_count`), so tampering is never masked.
 * ``crypt`` — dm-crypt (AES-XTS, LUKS header) opened with a key from
   the context (the Revelio sealing-key flow) or formatted on first
   boot (``format=auto``).
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..attest.trace import get_tracer
 from ..crypto.drbg import HmacDrbg
@@ -81,10 +78,10 @@ class StorageLatencyModel:
     Defaults model an NVMe-class device plus software crypto/hashing:
     fixed per-4KiB-block transfer cost at the physical (linear) layer,
     per-block hash cost on the verity path, per-block XTS cost on the
-    crypt path, and a near-free cache hit.  The composition — verity
-    multiplying read cost by the hash-path depth, crypt adding a
-    roughly constant factor, caches collapsing hot reads — is what the
-    paper's Figs. 5/6 report.
+    crypt path, and a near-free verified-page hit.  The composition —
+    verity multiplying read cost by the hash-path depth, crypt adding a
+    roughly constant factor, the page cache collapsing hot reads — is
+    what the paper's Figs. 5/6 report.
     """
 
     #: one 4 KiB block read at the physical layer
@@ -95,7 +92,7 @@ class StorageLatencyModel:
     hash_block: float = 6e-6
     #: AES-XTS over one block (encrypt or decrypt)
     xts_block: float = 9e-6
-    #: serving one block from a cache layer
+    #: serving one block from verity's verified-page cache
     cache_hit: float = 0.5e-6
 
 
@@ -154,9 +151,6 @@ class TargetStats:
     def as_dict(self) -> dict:
         """Plain-data view: the target kind plus its counters."""
         return {"kind": self.kind, **dict(sorted(self.counts.items()))}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TargetStats({self.as_dict()!r})"
 
 
 # -- table specification -------------------------------------------------------
@@ -386,95 +380,6 @@ class LinearTarget(_TargetDevice):
         self._backing.write_blocks(first, data)
 
 
-class BlockCache(_TargetDevice):
-    """A bounded write-through LRU cache over the layer below.
-
-    Hot re-reads are served from memory; writes go through and update
-    the cached copy.  The cache watches its backing device's
-    ``mutation_count`` and drops everything when the device mutated
-    behind its back — stale (or deliberately poisoned) entries are
-    never served after out-of-band writes, the property the
-    cross-layer corruption suite pins down.
-    """
-
-    kind = "cache"
-
-    def __init__(self, backing: BlockDevice, meter: StorageMeter,
-                 capacity_blocks: int = 256):
-        if capacity_blocks <= 0:
-            raise DmError("cache capacity must be positive", reason="bad_param")
-        super().__init__(backing, meter)
-        self.capacity_blocks = capacity_blocks
-        self._blocks: "OrderedDict[int, bytes]" = OrderedDict()
-        self._expected_version = backing.mutation_count
-        self._own_mutations = 0
-
-    @property
-    def mutation_count(self) -> int:
-        # Own mutations cover cache-state tampering (corrupt_entry), so
-        # layers above re-verify instead of trusting poisoned entries.
-        return self._backing.mutation_count + self._own_mutations
-
-    def _sync(self) -> None:
-        if self._backing.mutation_count != self._expected_version:
-            self._blocks.clear()
-            self._note("invalidations")
-            self._expected_version = self._backing.mutation_count
-
-    def read_block(self, index: int) -> bytes:
-        self._check_block(index)
-        self._sync()
-        cached = self._blocks.get(index)
-        if cached is not None:
-            self._blocks.move_to_end(index)
-            self._note("cache_hits")
-            self._meter.charge("cache_hit")
-            return cached
-        self._note("cache_misses")
-        data = self._backing.read_block(index)
-        self._insert(index, data)
-        return data
-
-    def write_block(self, index: int, data: bytes) -> None:
-        self._check_write(index, data)
-        self._sync()
-        self._note("writes")
-        self._backing.write_block(index, data)
-        self._insert(index, data)
-        # Our own write bumped the backing version; it is not
-        # out-of-band, so resync instead of invalidating.
-        self._expected_version = self._backing.mutation_count
-
-    def _insert(self, index: int, data: bytes) -> None:
-        self._blocks[index] = data
-        self._blocks.move_to_end(index)
-        while len(self._blocks) > self.capacity_blocks:
-            self._blocks.popitem(last=False)
-            self._note("evictions")
-
-    def invalidate(self) -> None:
-        """Drop every cached block."""
-        self._blocks.clear()
-        self._expected_version = self._backing.mutation_count
-
-    def corrupt_entry(self, index: int, xor_mask: int = 0x01,
-                      byte_offset: int = 0) -> None:
-        """Flip bits inside a *cached* block — the attack-simulation
-        primitive for cache-layer tampering.  Counts as a mutation, so
-        verified layers above re-check instead of serving it."""
-        if index not in self._blocks:
-            raise BlockDeviceError(f"block {index} not cached")
-        mutated = bytearray(self._blocks[index])
-        mutated[byte_offset] ^= xor_mask
-        self._blocks[index] = bytes(mutated)
-        self._own_mutations += 1
-
-    @property
-    def cached_indices(self) -> List[int]:
-        """Indices currently cached (LRU order, oldest first)."""
-        return list(self._blocks)
-
-
 class CachedVerityDevice(VerityDevice):
     """dm-verity with hash-path memoisation and a verified-page LRU.
 
@@ -689,13 +594,6 @@ def _build_linear(spec: TargetSpec, context: DmContext,
     return LinearTarget(source, meter)
 
 
-def _build_cache(spec: TargetSpec, context: DmContext,
-                 below: Optional[BlockDevice], meter: StorageMeter) -> BlockDevice:
-    backing = _require_base(spec, below)
-    return BlockCache(backing, meter,
-                      capacity_blocks=_int_param(spec, "blocks", 256))
-
-
 def _build_verity(spec: TargetSpec, context: DmContext,
                   below: Optional[BlockDevice], meter: StorageMeter) -> BlockDevice:
     data_device = _require_base(spec, below)
@@ -749,7 +647,6 @@ def _build_crypt(spec: TargetSpec, context: DmContext,
 
 _TARGET_BUILDERS = {
     "linear": _build_linear,
-    "cache": _build_cache,
     "verity": _build_verity,
     "crypt": _build_crypt,
 }
@@ -807,13 +704,6 @@ class DmVolume(BlockDevice):
         """Whether any layer of the given kind is stacked."""
         return any(getattr(d, "kind", None) == kind for d in self.layers)
 
-    def invalidate_caches(self) -> None:
-        """Drop every caching layer's state (remount semantics)."""
-        for device in self.layers:
-            invalidate = getattr(device, "invalidate", None)
-            if invalidate is not None:
-                invalidate()
-
     def stats(self) -> List[dict]:
         """Per-target counters, bottom-up."""
         return [
@@ -821,9 +711,6 @@ class DmVolume(BlockDevice):
             for device in self.layers
             if hasattr(device, "stats")
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DmVolume({self.name!r}, {self.table.to_text()!r})"
 
 
 # -- the typed volume registry -------------------------------------------------
@@ -868,18 +755,6 @@ class VolumeRegistry:
         """Registered roles, in registration order."""
         return list(self._volumes)
 
-    def items(self):
-        """(role, volume) pairs, in registration order."""
-        return self._volumes.items()
-
-    def stats(self) -> Dict[str, List[dict]]:
-        """Per-volume, per-target counters for every registered role."""
-        return {
-            role: volume.stats()
-            for role, volume in self._volumes.items()
-            if hasattr(volume, "stats")
-        }
-
     def __getitem__(self, role: str) -> BlockDevice:
         return self.open(role)
 
@@ -888,9 +763,3 @@ class VolumeRegistry:
 
     def __contains__(self, role: str) -> bool:
         return role in self._volumes
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._volumes)
-
-    def __len__(self) -> int:
-        return len(self._volumes)

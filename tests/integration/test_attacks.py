@@ -66,13 +66,10 @@ class TestModifiedBootComponents:
         deployment = fresh_deployment(build, b"atk-kernel2")
         from repro.virt.image import InitrdDescriptor
 
+        honest = build.image.initrd_descriptor()
         evil_initrd = InitrdDescriptor(
-            init_steps=("verity-rootfs", "network-lockdown", "dm-crypt-data",
-                        "identity-creation", "start-services"),
-            parameters={"rootfs_partition": "rootfs",
-                        "verity_partition": "verity",
-                        "data_partition": "data",
-                        "backdoor": "yes"},
+            init_steps=honest.init_steps,
+            parameters={**honest.parameters, "backdoor": "yes"},
         ).encode()
         deployment.launch_fleet(
             attack_for=lambda i: LaunchAttack(replace_initrd=evil_initrd)

@@ -2,14 +2,14 @@
 device-mapper stack makes reads fail loudly — never silently wrong.
 
 Hypothesis drives a random single-bit flip at a random depth of a full
-``linear -> cache -> crypt -> verity`` stack (the backing device, the
-hash device, the LUKS header, or a poisoned cache entry) and asserts
-the one property the sealed-storage design rests on: a read after
-tampering either raises :class:`VerityError` / :class:`DmCryptError`
-(or a block-layer error) or — when the flip landed outside the read's
-footprint and integrity path — returns exactly the original bytes.
-Warm caches are included: the mutation-count protocol must invalidate
-or bypass them, so a cache never launders corruption into a success.
+``linear -> crypt -> verity`` stack (the backing device, the hash
+device, or the LUKS header) and asserts the one property the
+sealed-storage design rests on: a read after tampering either raises
+:class:`VerityError` / :class:`DmCryptError` (or a block-layer error)
+or — when the flip landed outside the read's footprint and integrity
+path — returns exactly the original bytes.  Warm caches are included:
+the mutation-count protocol must invalidate verity's page and node
+caches, so they never launder corruption into a success.
 """
 
 import pytest
@@ -32,10 +32,10 @@ REJECTIONS = (VerityError, DmCryptError, BlockDeviceError)
 
 
 def _build_stack():
-    """verity(cache(crypt(linear(ram)))): plaintext goes in through the
-    crypt layer, then a hash tree is built over the *ciphertext* and
-    stacked with a cache below verity — every layer of the paper's
-    storage path in one volume."""
+    """verity(crypt(linear(ram))): plaintext goes in through the crypt
+    layer, then a hash tree is built over the *plaintext* the crypt
+    layer serves — every layer of the paper's storage path in one
+    volume."""
     backing = RamBlockDevice(2 + DATA_BLOCKS, BLOCK)
     master_key = HmacDrbg(b"xlc-key").generate(64)
     plain = luks_format(backing, HmacDrbg(b"xlc-rng"), master_key=master_key)
@@ -50,7 +50,7 @@ def _build_stack():
     )
     table = DmTable.parse(
         "stack",
-        "linear device=disk ; cache blocks=16 ; crypt key=master ; "
+        "linear device=disk ; crypt key=master ; "
         "verity hash=device:hash root=cmdline:rh",
     )
     return backing, fmt.hash_device, context, table, payload
@@ -62,7 +62,7 @@ def _read_all_blocks(volume):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    depth=st.sampled_from(["backing", "hash", "luks_header", "cache_entry"]),
+    depth=st.sampled_from(["backing", "hash", "luks_header"]),
     block=st.integers(min_value=0, max_value=DATA_BLOCKS - 1),
     offset=st.integers(min_value=0, max_value=BLOCK - 1),
     bit=st.integers(min_value=0, max_value=7),
@@ -73,7 +73,7 @@ def test_bit_flip_never_yields_wrong_bytes(depth, block, offset, bit, warm):
     volume = table.open(context)
     expected = [payload[i * BLOCK : (i + 1) * BLOCK] for i in range(DATA_BLOCKS)]
     if warm:
-        # Fill every cache first: verity page cache, node memo, block cache.
+        # Fill every cache first: verity's page cache and node memo.
         assert _read_all_blocks(volume) == expected
     mask = 1 << bit
 
@@ -84,14 +84,8 @@ def test_bit_flip_never_yields_wrong_bytes(depth, block, offset, bit, warm):
         # Anywhere in the Merkle tree, superblock included.
         target = (offset + block * BLOCK) % (hash_device.num_blocks * BLOCK)
         hash_device.corrupt(target, mask)
-    elif depth == "luks_header":
+    else:  # luks_header
         backing.corrupt(offset % (2 * BLOCK), mask)
-    else:  # cache_entry: poison a warm cache line directly
-        cache = volume.layer("cache")
-        index = 2 + block  # the cached raw-disk block holding our data
-        if index not in cache.cached_indices:
-            cache.read_block(index)
-        cache.corrupt_entry(index, xor_mask=mask, byte_offset=offset)
 
     for index in range(DATA_BLOCKS):
         try:

@@ -1,4 +1,5 @@
-"""Device-mapper stack tests: tables, targets, caches, and the registry."""
+"""Device-mapper stack tests: tables, targets, verity's caches, and the
+registry."""
 
 import pytest
 
@@ -6,12 +7,9 @@ from repro.attest import get_tracer, reset_tracer
 from repro.crypto.drbg import HmacDrbg
 from repro.storage.blockdev import RamBlockDevice
 from repro.storage.dm import (
-    ZERO_STORAGE_LATENCY,
-    BlockCache,
     DmContext,
     DmError,
     DmTable,
-    StorageMeter,
     TargetSpec,
     VolumeError,
     VolumeRegistry,
@@ -39,15 +37,15 @@ def _verity_context(num_blocks=16):
 
 
 VERITY_TABLE = "linear device=data ; verity hash=device:hash root=cmdline:root_hash"
-CACHED_VERITY_TABLE = (
-    "linear device=data ; cache blocks=8 ; "
-    "verity hash=device:hash root=cmdline:root_hash"
+SMALL_CACHE_VERITY_TABLE = (
+    "linear device=data ; "
+    "verity hash=device:hash root=cmdline:root_hash cache_blocks=8"
 )
 
 
 class TestTableParsing:
     def test_roundtrip(self):
-        text = CACHED_VERITY_TABLE
+        text = SMALL_CACHE_VERITY_TABLE
         table = DmTable.parse("root", text)
         assert table.to_text() == text
         assert DmTable.parse("root", table.to_text()) == table
@@ -77,6 +75,17 @@ class TestTableParsing:
         _, _, context = _verity_context()
         with pytest.raises(DmError) as excinfo:
             DmTable.parse("x", "linear device=data ; mirror").open(context)
+        assert excinfo.value.reason == "unknown_target"
+
+    def test_cache_is_not_a_target(self):
+        # Verity keeps its own verified-page cache; there is no
+        # separate block-cache target to stack under it.
+        _, _, context = _verity_context()
+        with pytest.raises(DmError) as excinfo:
+            DmTable.parse(
+                "x", "linear device=data ; cache blocks=8 ; "
+                "verity hash=device:hash root=cmdline:root_hash",
+            ).open(context)
         assert excinfo.value.reason == "unknown_target"
 
 
@@ -153,58 +162,12 @@ class TestComposition:
 
     def test_layer_lookup(self):
         _, _, context = _verity_context()
-        volume = DmTable.parse("root", CACHED_VERITY_TABLE).open(context)
-        assert volume.layer("cache").kind == "cache"
+        volume = DmTable.parse("root", VERITY_TABLE).open(context)
+        assert volume.layer("linear").kind == "linear"
         assert volume.has_layer("verity")
         assert not volume.has_layer("crypt")
         with pytest.raises(DmError):
             volume.layer("crypt")
-
-
-class TestBlockCache:
-    def _cached(self, capacity=4):
-        backing = _filled_device(16, seed=b"cache")
-        meter = StorageMeter(ZERO_STORAGE_LATENCY)
-        return backing, BlockCache(backing, meter, capacity_blocks=capacity)
-
-    def test_hit_after_miss(self):
-        backing, cache = self._cached()
-        block = cache.read_block(3)
-        backing.reads = 0
-        assert cache.read_block(3) == block
-        assert backing.reads == 0  # served from memory
-        assert cache.stats.get("cache_hits") == 1
-        assert cache.stats.get("cache_misses") == 1
-
-    def test_lru_eviction(self):
-        _, cache = self._cached(capacity=2)
-        cache.read_block(0)
-        cache.read_block(1)
-        cache.read_block(2)  # evicts 0
-        assert cache.cached_indices == [1, 2]
-        assert cache.stats.get("evictions") == 1
-
-    def test_write_through_updates_cache(self):
-        backing, cache = self._cached()
-        cache.write_block(4, b"\xaa" * BLOCK)
-        assert backing.read_block(4) == b"\xaa" * BLOCK
-        backing.reads = 0
-        assert cache.read_block(4) == b"\xaa" * BLOCK
-        assert backing.reads == 0  # own write did not invalidate
-
-    def test_out_of_band_write_invalidates(self):
-        backing, cache = self._cached()
-        cache.read_block(5)
-        backing.write_block(5, b"\xbb" * BLOCK)  # behind the cache's back
-        assert cache.read_block(5) == b"\xbb" * BLOCK  # not the stale copy
-        assert cache.stats.get("invalidations") == 1
-
-    def test_corrupt_entry_bumps_mutation_count(self):
-        _, cache = self._cached()
-        cache.read_block(1)
-        before = cache.mutation_count
-        cache.corrupt_entry(1, xor_mask=0x80)
-        assert cache.mutation_count == before + 1
 
 
 class TestCachedVerity:
@@ -238,7 +201,7 @@ class TestCachedVerity:
 
     def test_data_corruption_detected_warm(self):
         data, _, context = _verity_context()
-        volume = DmTable.parse("root", CACHED_VERITY_TABLE).open(context)
+        volume = DmTable.parse("root", SMALL_CACHE_VERITY_TABLE).open(context)
         volume.read_block(6)
         volume.read_block(6)  # warm
         data.corrupt(6 * BLOCK)
@@ -300,10 +263,10 @@ class TestCounters:
 
     def test_volume_stats_are_per_target(self):
         _, _, context = _verity_context()
-        volume = DmTable.parse("root", CACHED_VERITY_TABLE).open(context)
+        volume = DmTable.parse("root", VERITY_TABLE).open(context)
         volume.read_block(0)
         kinds = [stats["kind"] for stats in volume.stats()]
-        assert kinds == ["linear", "cache", "verity"]
+        assert kinds == ["linear", "verity"]
 
 
 class TestVolumeRegistry:
