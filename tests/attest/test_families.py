@@ -19,10 +19,12 @@ from repro.attest import (
     TdxTrust,
     TeeFamily,
     VerificationPolicy,
+    VerifyFarm,
     VtpmTrust,
 )
 from repro.cca.realms import ArmInfrastructure
 from repro.core.kds_client import KdsClient
+from repro.crypto import sigcache
 from repro.crypto.drbg import HmacDrbg
 from repro.net.latency import LatencyModel, SimClock
 from repro.tdx.module import IntelInfrastructure, ProvisioningCertificationService
@@ -244,3 +246,62 @@ class TestParityMatrix:
                 counters.failures_by_family[case.family]["family_not_allowed"]
                 >= 1
             )
+
+
+class TestFarmPreparePass:
+    """The verify farm's prepare pass on every family's evidence: a
+    farm-wired verifier reaches the unwired verifier's verdict and
+    reason, through ``verify`` and ``verify_batch``, and the farm does
+    receive the family's signature jobs."""
+
+    @staticmethod
+    def _forged(case):
+        body = bytearray(case.make_evidence(BINDING))
+        body[-1] ^= 0x01  # one bit of the outermost signature
+        return Evidence(case.family, bytes(body))
+
+    def test_farm_matches_the_unwired_verdicts(self, harness):
+        verifier, cases = harness
+        saved_oracle = sigcache.get_oracle()
+        try:
+            for case in cases[1:]:  # TDX, CCA and e-vTPM
+                policy = VerificationPolicy(
+                    golden_measurements=(case.measurement,),
+                    expected_report_data=BINDING,
+                )
+                evidences = [
+                    Evidence(case.family, case.make_evidence(BINDING)),
+                    self._forged(case),
+                ]
+                expected = [
+                    (o.verdict, o.reason)
+                    for o in (verifier.verify(e, now=NOW, policy=policy)
+                              for e in evidences)
+                ]
+                assert expected[0] == ("pass", None), case.family
+                assert expected[1] == ("fail", "bad_signature"), case.family
+                tracer = AttestationTracer()
+                farm = VerifyFarm(seed=b"family-farm", tracer=tracer)
+                wired = AttestationVerifier(
+                    verifier.kds, tracer=tracer, farm=farm,
+                    contexts=verifier.contexts,
+                )
+                single = [
+                    (o.verdict, o.reason)
+                    for o in (wired.verify(e, now=NOW, policy=policy)
+                              for e in evidences)
+                ]
+                assert tracer.farm.jobs > 0, case.family
+                jobs_before = tracer.farm.jobs
+                batched = [
+                    (o.verdict, o.reason)
+                    for o in wired.verify_batch(
+                        evidences, now=NOW, policies=[policy, policy]
+                    )
+                ]
+                assert tracer.farm.jobs > jobs_before, case.family
+                assert single == expected, case.family
+                assert batched == expected, case.family
+                farm.uninstall()
+        finally:
+            sigcache.set_oracle(saved_oracle)

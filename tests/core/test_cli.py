@@ -97,6 +97,26 @@ class TestScenarios:
         assert "unknown campaign" in capsys.readouterr().out
 
 
+class TestUpdate:
+    def test_update_prints_a_signed_manifest(self, capsys):
+        assert main(["update"]) == 0
+        output = capsys.readouterr().out
+        assert "update:      boundary-node 1.0.0 -> 2.0.0" in output
+        for field_name in ("base_measurement", "target_measurement",
+                           "base_root", "target_root", "delta_digest"):
+            assert f"  {field_name}: " in output
+        assert "phases:" not in output  # no rollout without --apply
+
+    def test_update_apply_rolls_out_to_every_backend(self, capsys):
+        assert main(["update", "--apply"]) == 0
+        output = capsys.readouterr().out
+        assert "fleet:       6 backend(s) across 2 region(s), epoch 1" in output
+        for phase in ("discovered", "delivered", "verified", "applied",
+                      "reattested", "admitted"):
+            assert f"  {phase}: 6\n" in output
+        assert "unattested requests: 0" in output
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
